@@ -8,17 +8,24 @@ of a subinterval would meet at one ambient point and a small noise step
 across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and phases from the received vector, picks the
 closest layer from the magnitudes (a linear scan, M*N work), then finds the
-closest line of the chosen curve's box pre-image in the wrapped flat metric
-(a walk over the curve's box-face crossings, ||u||_1 line segments).
+closest line of the chosen curve's box pre-image in the wrapped flat metric.
+Those lines sit at the points of the curve's rank-(N-1) projection lattice,
+so the second stage is a closest-vector search in that lattice: Babai
+rounding, a 3**(N-1)-point neighbourhood, and an exact enumeration for the
+rare rows the neighbourhood cannot certify.  Its work does not depend on
+the curve length ||u||_1.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .curves import CurveSpec, curve_point
+from .lattices import LatticeBasis, _closest_in_ball, _gram_schmidt, _line_lattice, shortest_vector
 from .torus import TorusSpec, inter_torus_distance
 
 __all__ = [
@@ -115,6 +122,18 @@ class SchemeCode:
             "guard": self.guard,
             "curves": [cs.to_dict() for cs in self.curves],
         }
+
+    @cached_property
+    def _layer_radii(self) -> np.ndarray:
+        """(M, N) stack of the layers' c-vectors."""
+        return np.stack([cs.torus.c for cs in self.curves])
+
+    @cached_property
+    def _line_lattices(self) -> "_LineLattices":
+        # built on the first decode, not at load: encode-only users and
+        # empty decode streams never pay for it.  The build is
+        # deterministic, so two threads racing here store equal values.
+        return _LineLattices.build(self.curves)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemeCode":
@@ -229,9 +248,8 @@ def nearest_layer(scheme: SchemeCode, gamma) -> int:
     if norm == 0.0:
         raise UndecodableError("zero magnitude vector")
     ghat = gamma / norm
-    cmat = np.stack([cs.torus.c for cs in scheme.curves])
     # layers are unit vectors, so the closest one maximizes the dot product
-    return int(np.argmax(cmat @ ghat))
+    return int(np.argmax(scheme._layer_radii @ ghat))
 
 
 def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
@@ -245,78 +263,110 @@ def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
     return out
 
 
-def _decode_on_torus_batch(cs: CurveSpec, points: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Parameter of the closest pre-image line for each box point (B, N).
+@dataclass(frozen=True, eq=False)
+class _LineLattices:
+    """Closest-line search data for a list of curves, stacked over curves.
 
-    Works in the wrapped flat metric of the box.  For fixed x the wrapped
-    residual p - 2*pi*u_hat*x changes its nearest lattice representative only
-    when some coordinate crosses a half-period, which happens at most |u_i|
-    times per coordinate over x in [0, 1).  Between crossings the distance is
-    a plain quadratic in x, minimized in closed form and clamped.
+    Curve k's box pre-image is the set of lines {2*pi*(u_hat*x + c*n)}; the
+    line n lies at lattice point z @ basis[k] of the hyperplane orthogonal to
+    u_hat, with n = z @ kernel[k] (see lattices._line_lattice).  A box point
+    p has real coefficients t = p @ coeffs[k] in that basis, so the closest
+    line is a closest-vector problem in a rank-(N-1) lattice whose cost does
+    not depend on the curve length.
     """
-    c = cs.torus.c
-    u = cs.u.astype(np.int64)
-    n = c.size
-    b = points.shape[0]
-    periods = _TWO_PI * c
-    uh2pi = _TWO_PI * cs.u_hat
-    line_norm2 = float(uh2pi @ uh2pi)
 
-    points = np.mod(points, periods)  # the wrapped metric is period-invariant
-    t = points / periods  # box position in units of periods, in [0, 1)
-    bps = []
-    for i in range(n):
-        ui = int(u[i])
-        if ui == 0:
-            continue
-        count = abs(ui)
-        if ui > 0:
-            m0 = np.ceil(0.5 - t[:, i])
-            ms = m0[:, None] + np.arange(count)[None, :]
-        else:
-            m0 = np.floor(0.5 - t[:, i])
-            ms = m0[:, None] - np.arange(count)[None, :]
-        bps.append((t[:, i, None] - 0.5 + ms) / ui)
-    bps = np.concatenate(bps, axis=1)
-    bps = np.clip(bps, 0.0, 1.0)
-    bps.sort(axis=1)
-    edges = np.concatenate(
-        [np.zeros((b, 1)), bps, np.ones((b, 1))], axis=1
-    )  # (B, S+2)
-    lefts = edges[:, :-1]
-    rights = edges[:, 1:]
-    mids = 0.5 * (lefts + rights)  # (B, S+1)
+    kernel: np.ndarray  # (M, N-1, N) int64
+    gram: np.ndarray  # (M, N-1, N-1)
+    coeffs: np.ndarray  # (M, N, N-1): box point -> coefficients of its projection
+    periods: np.ndarray  # (M, N): 2*pi*c
+    along: np.ndarray  # (M, N): u_hat / (2*pi*||u_hat||^2), box point -> x
+    certified2: np.ndarray  # (M,): squared half shortest lattice vector
+    offsets: np.ndarray  # (3**(N-1), N-1): the +-1 neighbourhood of a point
+    offset2: np.ndarray  # (M, 3**(N-1)): o G o for each offset o
+    gso: tuple  # per curve (mu, norms2) lists for the enumeration fallback
 
-    # nearest lattice offset per piece and coordinate: (B, P, N)
-    resid = points[:, None, :] - mids[:, :, None] * uh2pi[None, None, :]
-    offs = np.round(resid / periods[None, None, :])
-    q = points[:, None, :] - offs * periods[None, None, :]
-    xstar = (q @ uh2pi) / line_norm2  # (B, P)
-    np.clip(xstar, lefts, rights, out=xstar)
-    diff = q - xstar[:, :, None] * uh2pi[None, None, :]
-    dist2 = np.einsum("bpn,bpn->bp", diff, diff)
-    best = np.argmin(dist2, axis=1)  # first occurrence = smaller x on ties
-    xs = xstar[np.arange(b), best]
-    xs = np.where(xs >= 1.0, np.nextafter(1.0, 0.0), xs)
+    @classmethod
+    def build(cls, curves) -> "_LineLattices":
+        kernel, gram, coeffs, gso, shortest = [], [], [], [], []
+        for cs in curves:
+            kern, basis = _line_lattice(cs.torus.c, cs.u)
+            g = basis @ basis.T
+            kernel.append(kern)
+            gram.append(g)
+            coeffs.append(np.linalg.solve(g, basis).T)
+            mu, norms2 = _gram_schmidt(basis)
+            gso.append((mu.tolist(), norms2.tolist()))
+            # the line spacing (2*pi-scaled) from the lattice itself, not
+            # from cs.spacing, which a scheme file supplies unchecked
+            shortest.append(shortest_vector(LatticeBasis(basis)).norm)
+        c = np.stack([cs.torus.c for cs in curves])
+        u_hat = np.stack([cs.u_hat for cs in curves])
+        gram = np.stack(gram)
+        offsets = np.array(list(product((-1.0, 0.0, 1.0), repeat=c.shape[1] - 1)))
+        return cls(
+            kernel=np.stack(kernel),
+            gram=gram,
+            coeffs=np.stack(coeffs),
+            periods=_TWO_PI * c,
+            along=u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None],
+            # a lattice point closer than half the shortest vector is the
+            # unique closest one; the margin absorbs rounding
+            certified2=(np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9),
+            offsets=offsets,
+            offset2=np.einsum("on,knm,om->ko", offsets, gram, offsets),
+            gso=tuple(gso),
+        )
 
-    if counter is not None:
-        s = int(np.sum(np.abs(u)))
-        pieces = s + 1
-        # breakpoints: one divide per entry; per piece: offset round (N div),
-        # offset apply (N mult), projection (N mult + 1 div), residual (N mult),
-        # norm (N mult)
-        counter.add(b * (2 * s + pieces * (4 * n + 1) + n))
-    return xs
+    def closest_lines(self, layers: np.ndarray, box: np.ndarray, counter: OpCounter | None = None):
+        """Parameter in [0, 1) of the closest line of curve layers[i] to each
+        box point box[i] (B, N), in the wrapped flat metric.
+
+        Babai rounding of the coefficients, then the best point of the +-1
+        neighbourhood of the rounded point.  A best distance below half the
+        line spacing certifies it; other rows run an exact enumeration
+        seeded with that distance.
+        """
+        b, n = box.shape
+        offsets = self.offsets
+        t = np.einsum("bn,bnm->bm", box, self.coeffs[layers])
+        z = np.rint(t)
+        f = t - z
+        gf = np.einsum("bn,bnm->bm", f, self.gram[layers])
+        # squared distance of each neighbour z + o: (f - o) G (f - o)
+        dist2 = np.einsum("bn,bn->b", f, gf)[:, None] - 2.0 * gf @ offsets.T
+        dist2 += self.offset2[layers]
+        best = np.argmin(dist2, axis=1)
+        z += offsets[best]
+        best2 = dist2[np.arange(b), best]
+        nodes = 0
+        for i in np.flatnonzero(best2 >= self.certified2[layers]):
+            mu, norms2 = self.gso[layers[i]]
+            found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), best2[i] * (1.0 + 1e-9))
+            nodes += visited
+            if found is not None:
+                z[i] = found
+        lines = np.einsum("bm,bmn->bn", z.astype(np.int64), self.kernel[layers])
+        resid = box - self.periods[layers] * lines
+        xs = np.einsum("bn,bn->b", resid, self.along[layers])
+        xs -= np.floor(xs)
+        if counter is not None:
+            m = n - 1
+            # coefficients, G f, f G f, neighbour distances, line index,
+            # residual, position along the line
+            counter.add(b * (n * m + m * m + m + offsets.shape[0] * (m + 1) + m * n + 2 * n))
+            counter.add(nodes * n)  # one partial norm update per enumeration node
+        return np.minimum(xs, np.nextafter(1.0, 0.0))
 
 
 def decode_on_torus(cs: CurveSpec, theta, counter: OpCounter | None = None) -> float:
     """Parameter in [0, 1) of the curve point closest to the box point theta
     in the wrapped flat metric."""
     theta = np.asarray(theta, dtype=float)
-    return float(_decode_on_torus_batch(cs, theta[None, :], counter)[0])
+    lines = _LineLattices.build([cs])
+    return float(lines.closest_lines(np.zeros(1, dtype=np.int64), theta[None, :], counter)[0])
 
 
-def decode_batch(scheme: SchemeCode, ys, chunk: int = 4096, counter: OpCounter | None = None):
+def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     """Vectorized two-stage decoding of received vectors (B, 2N).
 
     Returns (x_hat, layer, undecodable, phase_fallback) arrays.  Undecodable
@@ -324,6 +374,9 @@ def decode_batch(scheme: SchemeCode, ys, chunk: int = 4096, counter: OpCounter |
     rather than raised, so Monte Carlo runs survive pathological inputs.
     """
     ys = np.asarray(ys, dtype=float)
+    expected = 2 * scheme.dim
+    if ys.ndim != 2 or ys.shape[1] != expected:
+        raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
     if not np.all(np.isfinite(ys)):
         raise ValueError("received vectors must be finite")
     b = ys.shape[0]
@@ -331,7 +384,7 @@ def decode_batch(scheme: SchemeCode, ys, chunk: int = 4096, counter: OpCounter |
     undecodable = np.all(zero, axis=1)
     fallback = np.any(zero, axis=1) & ~undecodable
 
-    cmat = np.stack([cs.torus.c for cs in scheme.curves])
+    cmat = scheme._layer_radii
     norms = np.linalg.norm(gamma, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     dots = (gamma / safe[:, None]) @ cmat.T
@@ -339,29 +392,21 @@ def decode_batch(scheme: SchemeCode, ys, chunk: int = 4096, counter: OpCounter |
     if counter is not None:
         counter.add(b * (4 * scheme.dim + scheme.n_layers * scheme.dim + scheme.dim))
 
-    lows = _interval_lows(scheme)
-    gs = _seam_fractions(scheme)
     x_hat = np.zeros(b)
-    angles = np.where(gamma > 0.0, theta / np.where(gamma > 0.0, gamma, 1.0), 0.0)
-    for k in np.unique(layers[~undecodable]):
-        mask = (layers == k) & ~undecodable
-        cs = scheme.curves[k]
-        box = angles[mask] * cs.torus.c  # wrapped box coordinates of the phases
+    rows = np.flatnonzero(~undecodable)
+    if rows.size:
+        k = layers[rows]
+        gr = gamma[rows]
+        angles = np.where(gr > 0.0, theta[rows] / np.where(gr > 0.0, gr, 1.0), 0.0)
+        box = angles * cmat[k]  # wrapped box coordinates of the phases
+        xl = scheme._line_lattices.closest_lines(k, box, counter)
+        # invert the seam map; a point on the seam arc goes to the nearer end
+        g = _seam_fractions(scheme)[k]
+        local = np.clip((xl - g / 2.0) / (1.0 - g), 0.0, np.nextafter(1.0, 0.0))
+        lows = _interval_lows(scheme)[k]
+        x_hat[rows] = lows + local * (scheme.breakpoints[k] - lows)
         if counter is not None:
-            counter.add(int(mask.sum()) * scheme.dim)
-        idx = np.flatnonzero(mask)
-        width = scheme.breakpoints[k] - lows[k]
-        # piece arrays scale with ||u||_1; cap their footprint per chunk
-        pieces = int(np.sum(np.abs(cs.u))) + 1
-        step = max(64, min(chunk, 4_000_000 // (pieces * scheme.dim)))
-        for start in range(0, idx.size, step):
-            sl = idx[start : start + step]
-            xl = _decode_on_torus_batch(cs, box[start : start + step], counter)
-            # invert the seam map; a point on the seam arc goes to the nearer end
-            local = np.clip((xl - gs[k] / 2.0) / (1.0 - gs[k]), 0.0, np.nextafter(1.0, 0.0))
-            if counter is not None:
-                counter.add(sl.size)
-            x_hat[sl] = lows[k] + local * width
+            counter.add(rows.size * (scheme.dim + 1))
     x_hat = np.minimum(x_hat, np.nextafter(1.0, 0.0))
     layers = np.where(undecodable, -1, layers)
     return x_hat, layers, undecodable, fallback

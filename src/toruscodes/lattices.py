@@ -1,4 +1,5 @@
-"""Low-rank lattice tools: duals, projections, exact shortest vectors.
+"""Low-rank lattice tools: duals, projections, exact shortest and closest
+vectors by one Schnorr-Euchner enumerator.
 
 Bases are row matrices: each row is one generator, embedded in an ambient
 space of dimension >= rank.  Everything here targets desk-scale ranks
@@ -165,11 +166,12 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _integer_kernel_basis(u) -> list[list[int]]:
-    """Integer row basis of {m in Z^N : <m, u> = 0} for primitive u.
+def _kernel_and_bezout(u) -> tuple[list[list[int]], list[int]]:
+    """Integer row basis of {m in Z^N : <m, u> = 0} and Bezout coefficients
+    s with <s, u> = 1, for primitive u.
 
-    Built from a Bezout chain over the coordinates; the resulting rank-(N-1)
-    lattice has squared covolume ||u||^2 exactly, asserted as a self-check.
+    Both come from one Bezout chain over the coordinates; the kernel lattice
+    has squared covolume ||u||^2 exactly, asserted as a self-check.
     """
     u = [int(x) for x in u]
     n = len(u)
@@ -195,11 +197,17 @@ def _integer_kernel_basis(u) -> list[list[int]]:
     uu = sum(x * x for x in u)
     # the section Z^N intersect u-perp has covolume ||u|| for primitive u
     assert _int_det(gram_int) == uu, "kernel basis covolume check failed"
-    return rows
+    assert sum(a * b for a, b in zip(s_prev, u)) == 1, "Bezout chain check failed"
+    return rows, s_prev
 
 
-def _reduce_rows_int(rows: list[list[int]], weights: np.ndarray) -> np.ndarray:
-    """LLL-style reduction of integer rows under the metric diag(weights)^2.
+def _integer_kernel_basis(u) -> list[list[int]]:
+    """Integer row basis of {m in Z^N : <m, u> = 0} for primitive u."""
+    return _kernel_and_bezout(u)[0]
+
+
+def _reduce_rows_int(rows: list[list[int]], metric: np.ndarray) -> np.ndarray:
+    """LLL-style reduction of integer rows k under the linear map k -> k @ metric.
 
     Only used to condition bases before floating-point work; all updates are
     integer row operations, so the generated lattice is unchanged.  Input
@@ -210,7 +218,7 @@ def _reduce_rows_int(rows: list[list[int]], weights: np.ndarray) -> np.ndarray:
     m = k.shape[0]
 
     def fl(rows):
-        return np.array([[float(x) for x in row] for row in rows]) * weights
+        return np.array([[float(x) for x in row] for row in rows]) @ metric
 
     changed = True
     guard = 0
@@ -280,7 +288,7 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
         raise ValueError("need ambient dimension >= 2")
 
     kernel = _integer_kernel_basis(u)
-    kernel = _reduce_rows_int(kernel, 1.0 / c)
+    kernel = _reduce_rows_int(kernel, np.diag(1.0 / c))
     dual_rows = kernel / c  # section of the dual lattice inside u_hat^perp
     gdual = dual_rows @ dual_rows.T
     primal_rows = np.linalg.solve(gdual, dual_rows)
@@ -290,6 +298,25 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
     scale = float(np.max(np.abs(primal_rows))) * float(np.linalg.norm(u_hat))
     assert resid <= 1e-9 * max(scale, 1.0), "projection rows not orthogonal to u_hat"
     return LatticeBasis(primal_rows)
+
+
+def _line_lattice(c, u) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced basis of the lattice of lines {2*pi*(u_hat*x + c*n)}, n in Z^N.
+
+    With Bezout coefficients s of u (<s, u> = 1), Z^N = Z*u + ker(s), and
+    the rows n of ker(s) index the lines one to one.  Line n lies at the
+    projection of 2*pi*c*n onto the hyperplane orthogonal to u_hat, so these
+    projections generate the same lattice as 2*pi*projection_lattice_basis.
+    Returns (kernel, basis): reduced integer rows (N-1, N) and their float
+    projections (N-1, N), row for row.
+    """
+    c = np.asarray(c, dtype=float)
+    u_hat = c * np.asarray(u, dtype=float)
+    _, s = _kernel_and_bezout(u)
+    proj = np.eye(c.size) - np.outer(u_hat, u_hat) / float(u_hat @ u_hat)
+    to_line = (2.0 * math.pi * c)[:, None] * proj  # n -> P(2*pi*c*n)
+    kernel = _reduce_rows_int(_integer_kernel_basis(s), to_line)
+    return kernel, kernel @ to_line
 
 
 def _gram_schmidt(rows):
@@ -307,6 +334,68 @@ def _gram_schmidt(rows):
     return mu, norms2
 
 
+def _enumerate(mu, norms2, target, bound2: float, leaf, node_cap: int = 10_000_000) -> int:
+    """Schnorr-Euchner enumeration of the integer coefficient vectors z whose
+    lattice point z @ rows lies within sqrt(bound2) of the point target @ rows.
+
+    mu and norms2 are the Gram-Schmidt data of the rows (nested lists, as
+    from _gram_schmidt); target holds real coefficients (zeros for a
+    shortest-vector search).  Each level visits its coefficients in order of
+    distance from its projected centre, so a level stops at the first one
+    outside the bound.  leaf(z, dist2) sees every point inside the current
+    bound and returns the bound to go on with; z is reused, so copy it.
+    Returns the number of nodes visited.
+    """
+    m = len(norms2)
+    z = [0] * m
+    nodes = 0
+
+    def visit(i: int, partial: float):
+        nonlocal bound2, nodes
+        center = target[i] - sum(mu[j][i] * (z[j] - target[j]) for j in range(i + 1, m))
+        zi = round(center)
+        # zig-zag around the centre: zi, zi + s, zi - s, zi + 2s, ...
+        sign = 1 if center >= zi else -1
+        k = 0
+        while True:
+            step = zi - center
+            dist2 = partial + norms2[i] * step * step
+            if dist2 > bound2:
+                break
+            nodes += 1
+            if nodes > node_cap:
+                raise RuntimeError("enumeration node cap exceeded; basis too skew")
+            z[i] = zi
+            if i == 0:
+                bound2 = leaf(z, dist2)
+            else:
+                visit(i - 1, dist2)
+            k += 1
+            zi += sign * k
+            sign = -sign
+        z[i] = 0
+
+    visit(m - 1, 0.0)
+    return nodes
+
+
+def _closest_in_ball(mu, norms2, target, bound2: float):
+    """Closest lattice point to target (real coefficients) among those within
+    squared distance bound2, by _enumerate with a shrinking bound.
+
+    Returns (coefficients or None when the ball holds no lattice point,
+    squared distance, nodes visited).
+    """
+    best = [None, bound2]
+
+    def leaf(z, dist2):
+        best[0], best[1] = tuple(z), dist2
+        return dist2
+
+    nodes = _enumerate(mu, norms2, target, bound2, leaf)
+    return best[0], best[1], nodes
+
+
 def shortest_vector(basis: LatticeBasis, _node_cap: int = 10_000_000) -> ShortestVectorResult:
     """Globally shortest nonzero lattice vector by exhaustive enumeration.
 
@@ -322,38 +411,20 @@ def shortest_vector(basis: LatticeBasis, _node_cap: int = 10_000_000) -> Shortes
     m = basis.rank
     mu, norms2 = _gram_schmidt(rows)
     row_norms2 = np.einsum("ij,ij->i", rows, rows)
-    bound2 = float(row_norms2.min()) * (1.0 + 1e-12)
-
-    best2 = bound2
+    best2 = float(row_norms2.min()) * (1.0 + 1e-12)
     candidates: list[tuple[int, ...]] = []
-    z = [0] * m
-    nodes = 0
 
-    def visit(i: int, partial: float):
-        nonlocal best2, candidates, nodes
-        if i < 0:
-            if partial <= 0.0 or all(v == 0 for v in z):
-                return
+    def leaf(z, partial: float) -> float:
+        nonlocal best2, candidates
+        if partial > 0.0 and any(z):
             if partial < best2 * (1.0 - 1e-12):
                 best2 = partial
                 candidates = [tuple(z)]
             elif partial <= best2 * (1.0 + 1e-12):
                 candidates.append(tuple(z))
-            return
-        center = -sum(mu[j][i] * z[j] for j in range(i + 1, m))
-        span = math.sqrt(max(best2 * (1.0 + 1e-12) - partial, 0.0) / norms2[i])
-        lo = math.ceil(center - span)
-        hi = math.floor(center + span)
-        for zi in range(lo, hi + 1):
-            nodes += 1
-            if nodes > _node_cap:
-                raise RuntimeError("enumeration node cap exceeded; basis too skew")
-            z[i] = zi
-            step = zi - center
-            visit(i - 1, partial + norms2[i] * step * step)
-        z[i] = 0
+        return best2 * (1.0 + 1e-12)
 
-    visit(m - 1, 0.0)
+    _enumerate(mu.tolist(), norms2.tolist(), [0.0] * m, best2 * (1.0 + 1e-12), leaf, _node_cap)
     if not candidates:
         raise DegenerateBasisError("no nonzero vector found (degenerate basis)")
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from toruscodes import (
     AmbiguousPhaseError,
@@ -21,13 +24,17 @@ from toruscodes import (
     encode,
     encode_batch,
     extract_polar,
+    fcc_target,
     hexagonal_target,
+    lifting_winding,
     make_curve,
     nearest_layer,
     project_to_torus,
+    projection_lattice_basis,
     reduce_to_box,
     search_best_w,
 )
+from toruscodes.curves import OutOfRangeError
 
 SQ3 = math.sqrt(3.0)
 
@@ -352,6 +359,117 @@ def test_decode_on_torus_random_curves(rng):
         got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
         assert got <= float(prof.min()) + 1e-9
         cases += 1
+
+
+@st.composite
+def _curve_and_box_point(draw):
+    n = draw(st.integers(2, 4))
+    c = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    u = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    g = 0
+    for x in u:
+        g = math.gcd(g, abs(x))
+    if g == 0:
+        u[0], g = 1, 1
+    torus = TorusSpec(c / np.linalg.norm(c))
+    try:
+        cs = make_curve(torus, [x // g for x in u])
+    except OutOfRangeError:  # spacing beyond the small-ball window
+        cs = None
+    frac = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+    return cs, frac * torus.box_periods
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(_curve_and_box_point())
+def test_decode_on_torus_attains_grid_minimum(case):
+    # windings with zeros and |u_1| != 1 exercise the general Bezout kernel
+    cs, p = case
+    assume(cs is not None)
+    x_hat = decode_on_torus(cs, p)
+    assert 0.0 <= x_hat < 1.0
+    grid = np.arange(200_000) / 200_000
+    best = float(_flat_distance_profile(cs, p, grid).min())
+    got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
+    assert got <= best + 1e-9
+
+
+def test_decode_on_torus_deep_hole_runs_enumeration(scheme_m1):
+    # the circumcentre of a lattice triangle of the near-hexagonal line
+    # lattice lies farther than half a spacing from every line, so the
+    # neighbourhood search cannot certify it and the enumeration decides
+    cs = scheme_m1.curves[0]
+    rows = 2 * math.pi * projection_lattice_basis(cs.torus.c, cs.u).rows
+    coeffs = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7) if i or j])
+    vecs = coeffs @ rows
+    order = np.argsort(np.linalg.norm(vecs, axis=1))
+    v1 = vecs[order[0]]
+    v2 = next(v for v in vecs[order[1:]] if abs(np.cross(v1, v)).max() > 1e-9 and v @ v1 > 0)
+    edges = np.stack([v1, v2])
+    hole = np.linalg.solve(edges @ edges.T, 0.5 * np.einsum("ij,ij->i", edges, edges)) @ edges
+    lattice = np.concatenate([np.zeros((1, 3)), vecs])
+    assert np.linalg.norm(lattice - hole, axis=1).min() > 1.05 * math.pi * cs.spacing
+
+    p = np.mod(hole + 2 * math.pi * 0.3 * cs.u_hat, cs.torus.box_periods)
+    deep, on_curve = OpCounter(), OpCounter()
+    x_hat = decode_on_torus(cs, p, counter=deep)
+    decode_on_torus(cs, reduce_to_box(cs.torus, 2 * math.pi * 0.3 * cs.u_hat), counter=on_curve)
+    assert deep.mults > on_curve.mults  # enumeration nodes are counted
+    grid = np.arange(1_000_000) / 1_000_000
+    best = float(_flat_distance_profile(cs, p, grid).min())
+    got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
+    assert got <= best + 1e-9
+
+
+@pytest.fixture(scope="module")
+def lifting_schemes():
+    """Single-curve N=4 schemes whose ||u||_1 are 20 (w=3) and 13 996 (w=30)."""
+    torus = TorusSpec(np.ones(4) / 2.0)
+    return {
+        w: build_scheme([make_curve(torus, lifting_winding(fcc_target(), np.ones(4), w))])
+        for w in (3, 30)
+    }
+
+
+def test_decode_memory_bounded_in_curve_length(lifting_schemes, rng):
+    peaks = []
+    for s in lifting_schemes.values():
+        sigma = s.alpha * s.ball_radius / 4.0
+        ys = encode_batch(s, rng.random(4096)) + sigma * rng.standard_normal((4096, 2 * s.dim))
+        tracemalloc.start()
+        try:
+            decode_batch(s, ys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16e6
+    assert max(peaks) <= 1.5 * min(peaks)
+
+
+def test_operation_count_independent_of_curve_length(lifting_schemes, rng):
+    l1 = [int(np.abs(s.curves[0].u).sum()) for s in lifting_schemes.values()]
+    assert max(l1) >= 100 * min(l1)
+    per_vector = []
+    for s in lifting_schemes.values():
+        ys = encode_batch(s, rng.random(200))  # noiseless rows are certified
+        counter = OpCounter()
+        decode_batch(s, ys, counter=counter)
+        per_vector.append(counter.mults / 200)
+    assert per_vector[0] == per_vector[1]
+
+
+def test_decode_batch_rejects_misshapen_input(scheme_multi):
+    s = scheme_multi
+    with pytest.raises(ValueError, match=r"shape \(B, 6\), got \(6,\)"):
+        decode_batch(s, encode(s, 0.3))
+    with pytest.raises(ValueError, match=r"shape \(B, 6\), got \(5, 8\)"):
+        decode_batch(s, np.ones((5, 8)))
 
 
 def test_four_dimensional_scheme_roundtrip(rng):

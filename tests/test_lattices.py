@@ -17,7 +17,7 @@ from toruscodes import (
     shortest_vector,
     unit_ball_volume,
 )
-from toruscodes.lattices import brute_force_shortest
+from toruscodes.lattices import _closest_in_ball, _gram_schmidt, _line_lattice, brute_force_shortest
 from conftest import brute_projection_shortest, random_primitive
 
 HEX = [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
@@ -197,6 +197,48 @@ def test_shortest_vector_vs_brute_force(rng):
             matched += 1
         found += 1
     assert matched >= 15
+
+
+def test_closest_in_ball_vs_brute_force(rng):
+    # skew bases make the rounded point a poor guess, so the enumeration,
+    # seeded with its distance, has to find the closest point on its own;
+    # the oracle scans every coefficient vector the dual rows allow
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        rows = rng.uniform(-1, 1, size=(m, m + 1))
+        if m > 1:
+            rows[1:] += rng.integers(-3, 4) * rows[0]
+        basis = LatticeBasis(rows)
+        target = rng.uniform(-5, 5, size=m)
+        seed = np.rint(target)
+        bound2 = float(np.sum(((seed - target) @ rows) ** 2)) * (1.0 + 1e-9)
+        mu, norms2 = _gram_schmidt(rows)
+        z, dist2, nodes = _closest_in_ball(mu.tolist(), norms2.tolist(), target.tolist(), bound2)
+        assert z is not None and nodes >= 1
+        reach = math.sqrt(bound2) * np.linalg.norm(dual_basis(basis).rows, axis=1)
+        axes = [np.arange(math.ceil(t - r), math.floor(t + r) + 1) for t, r in zip(target, reach)]
+        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        oracle = float(np.min(np.sum(((cand - target) @ rows) ** 2, axis=1)))
+        got = float(np.sum(((np.array(z) - target) @ rows) ** 2))
+        assert abs(got - dist2) <= 1e-9 * max(got, 1.0)
+        assert got <= oracle * (1.0 + 1e-9) + 1e-12
+
+
+def test_line_lattice_indexes_lines(rng):
+    # each reduced kernel row n is a line index: its projected row is the
+    # projection of 2*pi*c*n, and the rows span the projection lattice
+    for n in (2, 3, 4):
+        for _ in range(10):
+            c = rng.uniform(0.5, 1.5, size=n)
+            u = random_primitive(rng, n, lo=-40, hi=40)
+            kernel, rows = _line_lattice(c, u)
+            u_hat = c * u
+            lifted = 2 * math.pi * c * kernel
+            proj = lifted - np.outer(lifted @ u_hat, u_hat) / float(u_hat @ u_hat)
+            assert np.allclose(rows, proj, atol=1e-9)
+            assert same_lattice(
+                LatticeBasis(rows / (2 * math.pi)), projection_lattice_basis(c, u)
+            )
 
 
 def test_rank_guard():
