@@ -14,6 +14,8 @@ from .torus import (
     embed,
     reduce_to_box,
     inter_torus_distance,
+    separation_rows,
+    min_separation,
     intra_torus_distance,
     distance_bounds,
 )
@@ -24,7 +26,6 @@ from .lattices import (
     InvalidDirectionError,
     PrimitivityError,
     UnsupportedRankError,
-    gram,
     dual_basis,
     project_orthogonal,
     projection_lattice_basis,

@@ -26,7 +26,10 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point
 from .lattices import LatticeBasis, _closest_in_ball, _gram_schmidt, _line_lattice, shortest_vector
-from .torus import TorusSpec, inter_torus_distance
+from .torus import TorusSpec, inter_torus_distance, min_separation  # noqa: F401
+
+# inter_torus_distance stays importable from here: perfbench/traced.py
+# wraps it by name.
 
 __all__ = [
     "SchemeCode",
@@ -167,10 +170,7 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     total = float(lengths.sum())
     breakpoints = np.cumsum(lengths) / total
     breakpoints[-1] = 1.0
-    sep = math.inf
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            sep = min(sep, inter_torus_distance(curves[i].torus, curves[j].torus))
+    sep = min_separation([cs.torus for cs in curves])
     ball = min(cs.ball_lower for cs in curves)
     ball = min(ball, sep / 2.0)
     return SchemeCode(

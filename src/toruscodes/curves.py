@@ -9,7 +9,12 @@ orthogonal to u_hat.
 
 The scaled lifting construction generates winding vectors whose projection
 lattices converge (in Gram distance) to any chosen target lattice, which is
-how long curves with guaranteed spacing are found.
+how long curves with guaranteed spacing are found.  search_best_w looks for
+the largest window w whose curve keeps a spacing target: it computes the
+windings of a whole block of windows at once as integer arrays, drops the
+windows a Hermite bound rules out, and runs the exact shortest-vector
+spacing only on the survivors, block after block of descending w, until
+the first hit.
 """
 
 import json
@@ -147,8 +152,12 @@ class CurveSpec:
 def make_curve(torus: TorusSpec, u) -> CurveSpec:
     """Build a CurveSpec for winding u, computing spacing and ball bounds."""
     u = _as_winding(u)
+    return _curve_with_spacing(torus, u, line_spacing(torus, u))
+
+
+def _curve_with_spacing(torus: TorusSpec, u: np.ndarray, r: float) -> CurveSpec:
+    """make_curve for a primitive, sign-normalized winding of known spacing r."""
     u_hat = torus.c * u
-    r = line_spacing(torus, u)
     lower, upper = small_ball_bounds(torus, r)
     return CurveSpec(
         torus=torus,
@@ -296,13 +305,14 @@ def _check_lifting_args(target: TargetLattice, c, w: int) -> np.ndarray:
     return c
 
 
-def _lifting_floors(target: TargetLattice, c: np.ndarray, w: int) -> list[list[int]]:
-    """Floor coefficients a[i][j] = floor(w * l[i][j] * c[j]) for j <= i."""
-    lstar = target.dual_generator
-    return [
-        [math.floor(w * float(lstar[i, j]) * float(c[j])) for j in range(i + 1)]
-        for i in range(target.dim)
-    ]
+def _window_floors(target: TargetLattice, c: np.ndarray, ws) -> np.ndarray:
+    """Floor coefficients a[k, i, j] = floor((w_k * l[i][j]) * c[j]) as float64.
+
+    Shape (len(ws), m, m) for an m-d target; entries above the diagonal are
+    zero because the dual generator is lower triangular.
+    """
+    ws = np.asarray(ws, dtype=float)
+    return np.floor((ws[:, None, None] * target.dual_generator) * c[: target.dim])
 
 
 def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
@@ -315,26 +325,53 @@ def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
     target lattice.
     """
     c = _check_lifting_args(target, c, w)
-    n = c.size
     m = target.dim
-    floors = _lifting_floors(target, c, int(w))
-    rows = np.zeros((m, n))
-    for i in range(m):
-        for j in range(i + 1):
-            rows[i, j] = floors[i][j] / c[j]
-        rows[i, i + 1] = 1.0 / c[i + 1]
+    rows = np.zeros((m, c.size))
+    rows[:, :m] = _window_floors(target, c, [w])[0] / c[:m]
+    rows[np.arange(m), np.arange(1, m + 1)] = 1.0 / c[1:]
     return LatticeBasis(rows)
 
 
-def _winding_ints(target: TargetLattice, c, w: int) -> list[int]:
-    floors = _lifting_floors(target, c, int(w))
-    u = [1]
-    for i in range(target.dim):
-        acc = floors[i][0]
+_EXACT_BOUND = 2.0**61  # float bound on |u| beyond which windings use Python ints
+_OVERFLOW = 2**62
+
+
+def _lifting_windings(target: TargetLattice, c: np.ndarray, ws) -> np.ndarray:
+    """Lifted windings for a block of windows ws, shape (len(ws), N).
+
+    Row k is the winding of window ws[k]: u_1 = 1 and
+    u_{i+1} = -(a[i][0] + sum_{1 <= j <= i} a[i][j] u_j), evaluated for all
+    rows at once.  A float64 bound B_{i+1} = |a[i][0]| + sum_j |a[i][j]| B_j
+    on |u| rides along; while it stays below 2**61 the recursion runs in
+    int64 and cannot wrap.  Otherwise the block runs on exact Python
+    integers (dtype object), so callers see the true entries, however large.
+    """
+    a = _window_floors(target, c, ws)
+    m = target.dim
+    bound = np.ones((a.shape[0], m + 1))
+    for i in range(m):
+        bound[:, i + 1] = np.abs(a[:, i, 0]) + (
+            np.abs(a[:, i, 1 : i + 1]) * bound[:, 1 : i + 1]
+        ).sum(axis=1)
+    if np.all(bound < _EXACT_BOUND):
+        a = a.astype(np.int64)
+    else:
+        a = np.frompyfunc(int, 1, 1)(a)
+    u = np.empty((a.shape[0], m + 1), dtype=a.dtype)
+    u[:, 0] = 1
+    for i in range(m):
+        acc = a[:, i, 0].copy()
         for j in range(1, i + 1):
-            acc += floors[i][j] * u[j]
-        u.append(-acc)
+            acc += a[:, i, j] * u[:, j]
+        u[:, i + 1] = -acc
     return u
+
+
+def _checked_winding(u: np.ndarray) -> np.ndarray:
+    """One row of _lifting_windings as int64, refusing entries >= 2**62."""
+    if np.abs(u).max() >= _OVERFLOW:
+        raise ConstructionViolatedError("winding entries overflow the integer range")
+    return u.astype(np.int64)
 
 
 def lifting_winding(target: TargetLattice, c, w: int) -> np.ndarray:
@@ -345,16 +382,14 @@ def lifting_winding(target: TargetLattice, c, w: int) -> np.ndarray:
     result is primitive by construction.
     """
     c = _check_lifting_args(target, c, w)
-    u = _winding_ints(target, c, int(w))
-    if max(abs(x) for x in u) >= 2**62:
-        raise ConstructionViolatedError("winding entries overflow the integer range")
-    out = np.array(u, dtype=np.int64)
+    out = _checked_winding(_lifting_windings(target, c, [w])[0])
     if _vec_gcd(out) != 1:
         raise ConstructionViolatedError("lifting produced a non-primitive winding")
     return out
 
 
 _HERMITE = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0)}
+_SCAN_BLOCK = 4096  # windows per block of search_best_w
 
 
 def search_best_w(
@@ -368,9 +403,14 @@ def search_best_w(
     Spacing is not provably monotone in w, so the scan walks w downward and
     returns the first hit, which is exactly the largest feasible w.  A norm
     bound prunes hopeless w without a shortest-vector computation: a rank-m
-    lattice of covolume V has shortest vector at most sqrt(g_m) * V^(1/m)
-    with g_m the Hermite constant, so spacing >= r_min forces
-    prod(c) / ||u_hat|| >= (r_min^2 / g_m)^(m/2)... rearranged below.
+    lattice of covolume V = prod(c) / ||u_hat|| has shortest vector at most
+    sqrt(g_m) * V^(1/m) with g_m the Hermite constant, so any w with
+    g_m^(m/2) * V < r_min^m is skipped.
+
+    The scan runs in blocks of _SCAN_BLOCK windows of descending w: the
+    windings and the prune of a whole block are array operations, and the
+    exact line spacing is computed only for the windows that survive, in
+    descending w, until the first hit.  Memory does not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.
     """
@@ -382,22 +422,30 @@ def search_best_w(
     m = torus.dim - 1
     if target.dim != m:
         raise ValueError("target dimension must be torus dimension - 1")
-    c_scaled = (c / c[0]).tolist()
-    c_list = c.tolist()
+    c_scaled = c / c[0]
     gamma = _HERMITE.get(m)
     prod_c = float(np.prod(c))
-    for w in range(int(w_max), 0, -1):
-        u = _winding_ints(target, c_scaled, w)
-        u_hat_norm = math.sqrt(sum((ci * ui) ** 2 for ci, ui in zip(c_list, u)))
+    for top in range(int(w_max), 0, -_SCAN_BLOCK):
+        ws = np.arange(top, max(top - _SCAN_BLOCK, 0), -1)
+        us = _lifting_windings(target, c_scaled, ws)
+        survivors = range(len(ws))
         if gamma is not None:
-            det = prod_c / u_hat_norm
-            if gamma ** (m / 2.0) * det < r_min**m:
-                continue  # spacing provably below r_min
-        u = lifting_winding(target, c_scaled, w)
-        r = line_spacing(torus, u)
-        if r >= r_min:
-            try:
-                return w, make_curve(torus, u)
-            except OutOfRangeError:
-                continue  # spacing beyond the ball-bound window; try smaller w
+            # ||u_hat||^2 summed term by term in index order; Python's x**2
+            # is libm pow, which float_power calls too (x*x can differ in
+            # the last bit)
+            uf = us.astype(float)
+            norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
+            for i in range(1, m + 1):
+                norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
+            det = prod_c / np.sqrt(norm2)
+            # spacing provably below r_min where the bound fails
+            survivors = np.flatnonzero(~(gamma ** (m / 2.0) * det < r_min**m))
+        for k in survivors:
+            u = _checked_winding(us[k])
+            r = line_spacing(torus, u)
+            if r >= r_min:
+                try:
+                    return int(ws[k]), _curve_with_spacing(torus, u, r)
+                except OutOfRangeError:
+                    continue  # spacing beyond the ball-bound window; try smaller w
     return None

@@ -20,7 +20,6 @@ __all__ = [
     "InvalidDirectionError",
     "PrimitivityError",
     "UnsupportedRankError",
-    "gram",
     "dual_basis",
     "project_orthogonal",
     "projection_lattice_basis",
@@ -101,11 +100,6 @@ class ShortestVectorResult:
     vector: np.ndarray
     norm: float
     coefficients: np.ndarray
-
-
-def gram(basis: LatticeBasis) -> np.ndarray:
-    """Gram matrix of the basis rows."""
-    return basis.gram()
 
 
 def dual_basis(basis: LatticeBasis) -> LatticeBasis:

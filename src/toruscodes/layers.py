@@ -7,14 +7,16 @@ packing on an angular grid; externally constructed codebooks can be
 supplied instead.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import TorusSpec, inter_torus_distance
+from .torus import TorusSpec, inter_torus_distance, min_separation, separation_rows  # noqa: F401
+
+# inter_torus_distance stays importable from here: perfbench/traced.py
+# wraps it by name.
 
 __all__ = [
     "LayerCodebook",
@@ -74,20 +76,11 @@ class LayerCodebook:
     def from_dict(cls, d: dict) -> "LayerCodebook":
         layers = tuple(TorusSpec(np.asarray(item["c"], dtype=float)) for item in d["layers"])
         delta = float(d["delta"])
-        return cls(layers=layers, min_sep=2.0 * delta, achieved_sep=_pairwise_min(layers))
+        return cls(layers=layers, min_sep=2.0 * delta, achieved_sep=min_separation(layers))
 
     @classmethod
     def from_json(cls, text: str) -> "LayerCodebook":
         return cls.from_dict(json.loads(text))
-
-
-def _pairwise_min(layers) -> float:
-    if len(layers) < 2:
-        return math.inf
-    best = math.inf
-    for a, b in itertools.combinations(layers, 2):
-        best = min(best, inter_torus_distance(a, b))
-    return best
 
 
 def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
@@ -157,7 +150,7 @@ def design_layers(
         )
         specs = tuple(sorted(specs, key=lambda t: tuple(t.c)))
         return LayerCodebook(
-            layers=specs, min_sep=2.0 * delta, achieved_sep=_pairwise_min(specs)
+            layers=specs, min_sep=2.0 * delta, achieved_sep=min_separation(specs)
         )
 
     if strategy != "grid-greedy":
@@ -180,7 +173,7 @@ def design_layers(
             acc = np.vstack([acc, cand])
     specs = tuple(TorusSpec(c) for c in accepted)
     return LayerCodebook(
-        layers=specs, min_sep=target, achieved_sep=_pairwise_min(specs)
+        layers=specs, min_sep=target, achieved_sep=min_separation(specs)
     )
 
 
@@ -202,11 +195,10 @@ def validate_codebook(codebook: LayerCodebook) -> ValidationReport:
         return ValidationReport(achieved_sep=math.inf, unconstrained=True)
     violations = []
     best = math.inf
-    for (i, a), (j, b) in itertools.combinations(enumerate(layers), 2):
-        d = inter_torus_distance(a, b)
-        best = min(best, d)
-        if d < codebook.min_sep - 1e-12:
-            violations.append((i, j, d))
+    for i, d in separation_rows(layers):
+        best = min(best, float(d.min()))
+        for k in np.flatnonzero(d < codebook.min_sep - 1e-12):
+            violations.append((i, i + 1 + int(k), float(d[k])))
     return ValidationReport(
         achieved_sep=best, unconstrained=False, violations=tuple(violations)
     )

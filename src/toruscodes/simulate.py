@@ -286,21 +286,6 @@ class TradeoffRow:
     layers: int
 
 
-def _total_length(codebook: LayerCodebook, delta: float, w_max: int) -> float | None:
-    total = 0.0
-    found_any = False
-    for torus in codebook.layers:
-        r_min = ball_radius_to_spacing(torus, delta)
-        if r_min is None:
-            continue
-        found = search_best_w(default_target(torus.dim), torus, r_min, w_max=w_max)
-        if found is None:
-            continue
-        total += found[1].length
-        found_any = True
-    return total if found_any else None
-
-
 def tradeoff_table(
     n: int,
     deltas,
@@ -323,16 +308,27 @@ def tradeoff_table(
     rows = []
     for delta in deltas:
         delta = float(delta)
-        single = _total_length(central, delta, w_max)
         book = codebook
         if book is None:
             book = design_layers(n, delta, min_coordinate=delta / 2.0)
-        multi = _total_length(book, delta, w_max)
+        totals = []
+        for layers in (central, book):
+            try:
+                lengths = design_scheme(layers, delta, w_max=w_max).lengths
+            except InfeasibleDesignError:
+                totals.append(None)
+                continue
+            # a plain left-to-right float sum; np.sum (and sum() on
+            # Python >= 3.12) round differently, and the table is byte-locked
+            total = 0.0
+            for length in lengths:
+                total += float(length)
+            totals.append(total)
         rows.append(
             TradeoffRow(
                 delta=delta,
-                length_single=single,
-                length_multi=multi,
+                length_single=totals[0],
+                length_multi=totals[1],
                 layers=book.size,
             )
         )

@@ -19,6 +19,8 @@ __all__ = [
     "embed",
     "reduce_to_box",
     "inter_torus_distance",
+    "separation_rows",
+    "min_separation",
     "intra_torus_distance",
     "distance_bounds",
 ]
@@ -100,11 +102,39 @@ def reduce_to_box(torus: TorusSpec, u) -> np.ndarray:
     return np.mod(u, torus.box_periods)
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    # one dot product per row, the same kernel np.linalg.norm uses for a
+    # single vector; norm(..., axis=1) sums differently and can differ in
+    # the last bit, which would move minimum separations
+    d = np.ascontiguousarray(d)
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
 def inter_torus_distance(a: TorusSpec, b: TorusSpec) -> float:
     """Minimum distance between two flat tori: the norm of c_a - c_b."""
     if a.dim != b.dim:
         raise ValueError("tori must have the same dimension")
-    return float(np.linalg.norm(a.c - b.c))
+    return float(_row_norms((a.c - b.c)[None, :])[0])
+
+
+def separation_rows(tori):
+    """Pairwise inter_torus_distance values, one row of the pair matrix at a time.
+
+    Yields (i, d) for i = 0 .. M-2, where d[k] is the distance between
+    tori[i] and tori[i + 1 + k], bit-identical to inter_torus_distance.
+    Memory stays O(M*N) however many layers there are.
+    """
+    cs = [t.c for t in tori]
+    if len({c.size for c in cs}) > 1:
+        raise ValueError("tori must have the same dimension")
+    cs = np.array(cs)
+    for i in range(cs.shape[0] - 1):
+        yield i, _row_norms(cs[i + 1 :] - cs[i])
+
+
+def min_separation(tori) -> float:
+    """Smallest pairwise inter_torus_distance; inf for fewer than two tori."""
+    return min((float(d.min()) for _, d in separation_rows(tori)), default=math.inf)
 
 
 def intra_torus_distance(torus: TorusSpec, u, v) -> np.ndarray | float:

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruscodes import (
     ConstructionViolatedError,
@@ -25,6 +28,8 @@ from toruscodes import (
     search_best_w,
     small_ball_bounds,
 )
+from toruscodes import curves
+from toruscodes.curves import _lifting_windings, default_target
 from conftest import brute_projection_shortest, random_primitive, random_torus
 
 SQ2 = math.sqrt(2.0)
@@ -284,3 +289,99 @@ def test_search_result_meets_target():
         c_scaled = t.c / t.c[0]
         for wb in range(w + 1, min(w + 4, 201)):
             assert line_spacing(t, lifting_winding(hexagonal_target(), c_scaled, wb)) < 0.02
+
+
+def _python_winding(target, c_scaled, w):
+    """Scalar lifting recursion on Python integers, floors as (w*l)*c."""
+    lstar = target.dual_generator
+    u = [1]
+    for i in range(target.dim):
+        acc = math.floor(w * float(lstar[i, 0]) * float(c_scaled[0]))
+        for j in range(1, i + 1):
+            acc += math.floor(w * float(lstar[i, j]) * float(c_scaled[j])) * u[j]
+        u.append(-acc)
+    return u
+
+
+_GAMMA = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0)}
+
+
+def _scalar_search(target, torus, r_min, w_max):
+    """One window at a time: Hermite prune, exact spacing, first hit wins."""
+    c = torus.c.tolist()
+    c_scaled = (torus.c / torus.c[0]).tolist()
+    m = torus.dim - 1
+    prod_c = float(np.prod(torus.c))
+    for w in range(w_max, 0, -1):
+        u = _python_winding(target, c_scaled, w)
+        norm = math.sqrt(sum((ci * ui) ** 2 for ci, ui in zip(c, u)))
+        if _GAMMA[m] ** (m / 2.0) * (prod_c / norm) < r_min**m:
+            continue
+        if max(abs(x) for x in u) >= 2**62:
+            raise ConstructionViolatedError("winding entries overflow the integer range")
+        if line_spacing(torus, np.array(u, dtype=np.int64)) >= r_min:
+            try:
+                return w, make_curve(torus, u)
+            except OutOfRangeError:
+                continue
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+    log_r_min=st.floats(-3.0, -0.3),
+    w_max=st.integers(1, 400),
+)
+def test_search_matches_scalar_scan(n, c, log_r_min, w_max):
+    r_min = 10.0**log_r_min
+    c = np.array(c[:n])
+    torus = TorusSpec(c / np.linalg.norm(c))
+    target = default_target(n)
+    want = _scalar_search(target, torus, r_min, w_max)
+    # a block of 7 windows puts block boundaries inside the scanned range
+    for block in (curves._SCAN_BLOCK, 7):
+        with mock.patch.object(curves, "_SCAN_BLOCK", block):
+            got = search_best_w(target, torus, r_min, w_max=w_max)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert got[1].to_dict() == want[1].to_dict()
+    c_scaled = torus.c / torus.c[0]
+    us = _lifting_windings(target, c_scaled, np.arange(w_max, 0, -1))
+    assert us.dtype == np.int64
+    for w, row in zip(range(w_max, 0, -1), us):
+        assert row.tolist() == _python_winding(target, c_scaled, w)
+
+
+def test_lifting_windings_exact_across_2_53_and_2_62():
+    # N=4 windings grow like w^3: for this c, max |u| first reaches 2^53
+    # at w = 248779 and 2^62 at w = 1990223
+    target = fcc_target()
+    c = np.array([1.0, 1.3, 0.9, 1.1])
+    for w, limit in ((248_779, 2**53), (1_990_223, 2**62)):
+        assert max(map(abs, _python_winding(target, c, w - 1))) < limit
+        assert max(map(abs, _python_winding(target, c, w))) >= limit
+        ws = np.arange(w + 40, w - 40, -1)
+        us = _lifting_windings(target, c, ws)
+        for wk, row in zip(ws.tolist(), us):
+            assert [int(x) for x in row] == _python_winding(target, c, wk)
+    for w in range(1_990_223 - 3, 1_990_223):
+        assert lifting_winding(target, c, w).tolist() == _python_winding(target, c, w)
+    # past 2^63 an int64 recursion would wrap; these rows stay exact
+    ws = np.array([10**7, 3_000_000, 2_600_000, 1_990_223, 1_000_000, 1])
+    us = _lifting_windings(target, c, ws)
+    assert max(map(abs, _python_winding(target, c, 3_000_000))) >= 2**63
+    for wk, row in zip(ws.tolist(), us):
+        assert [int(x) for x in row] == _python_winding(target, c, wk)
+    for w in (1_990_223, 1_990_224, 1_990_225, 3_000_000):
+        with pytest.raises(ConstructionViolatedError):
+            lifting_winding(target, c, w)
+    # the scan reports the overflow of an unpruned window instead of wrapping
+    torus = TorusSpec(c / np.linalg.norm(c))
+    with pytest.raises(ConstructionViolatedError):
+        search_best_w(target, torus, 1e-12, w_max=1_990_224)
+    w, cs = search_best_w(target, torus, 1e-12, w_max=1_990_222)
+    assert w == 1_990_222
+    assert cs.u.tolist() == _python_winding(target, torus.c / torus.c[0], w)

@@ -10,7 +10,6 @@ from toruscodes import (
     PrimitivityError,
     UnsupportedRankError,
     dual_basis,
-    gram,
     packing_density,
     project_orthogonal,
     projection_lattice_basis,
@@ -38,27 +37,27 @@ def same_lattice(a: LatticeBasis, b: LatticeBasis) -> bool:
 
 
 def test_gram_examples():
-    assert np.allclose(gram(LatticeBasis(np.eye(2))), np.eye(2))
-    assert np.allclose(gram(LatticeBasis([[3.0, 4.0]])), [[25.0]])
-    assert np.allclose(gram(LatticeBasis(HEX)), [[1.0, 0.5], [0.5, 1.0]])
+    assert np.allclose(LatticeBasis(np.eye(2)).gram(), np.eye(2))
+    assert np.allclose(LatticeBasis([[3.0, 4.0]]).gram(), [[25.0]])
+    assert np.allclose(LatticeBasis(HEX).gram(), [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_gram_symmetric_positive(rng):
     for _ in range(20):
         rows = rng.standard_normal((3, 5))
-        g = gram(LatticeBasis(rows))
+        g = LatticeBasis(rows).gram()
         assert np.allclose(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
 def test_dual_examples():
     z2 = dual_basis(LatticeBasis(np.eye(2)))
-    assert np.allclose(gram(z2), np.eye(2))
+    assert np.allclose(z2.gram(), np.eye(2))
     half = dual_basis(LatticeBasis([[2.0]]))
     assert np.allclose(half.rows, [[0.5]])
     hex_dual = dual_basis(LatticeBasis(HEX))
     expect = np.array([[4.0, -2.0], [-2.0, 4.0]]) / 3.0
-    assert np.allclose(gram(hex_dual), expect, atol=1e-12)
+    assert np.allclose(hex_dual.gram(), expect, atol=1e-12)
     assert abs(shortest_vector(hex_dual).norm - math.sqrt(4.0 / 3.0)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from toruscodes import (
     TorusSpec,
     design_layers,
     inter_torus_distance,
+    min_separation,
+    separation_rows,
     validate_codebook,
 )
 
@@ -107,3 +110,42 @@ def test_user_codebook_rejects_bad_separation():
     b = TorusSpec(np.array([0.61, math.sqrt(1 - 0.61**2)]))
     with pytest.raises(ValueError):
         design_layers(2, 0.3, strategy="user-supplied", layers=[a, b])
+
+
+def test_separation_rows_match_inter_torus_distance():
+    # N=3, delta=0.08 as scheme design builds it: 53 layers, 1378 pairs.  A
+    # row-wise norm(..., axis=1) differs from the scalar norm in the last
+    # bit on 145 of these pairs and moves the minimum.
+    layers = design_layers(3, 0.08, min_coordinate=0.04).layers
+    pairs = 0
+    for i, d in separation_rows(layers):
+        assert d.shape == (len(layers) - 1 - i,)
+        for k, dk in enumerate(d.tolist()):
+            a, b = layers[i], layers[i + 1 + k]
+            assert dk == inter_torus_distance(a, b) == float(np.linalg.norm(a.c - b.c))
+            pairs += 1
+    assert pairs == 1378
+    assert min_separation(layers) == min(
+        inter_torus_distance(a, b) for a, b in itertools.combinations(layers, 2)
+    )
+    assert min_separation(layers[:1]) == math.inf
+
+
+def test_validate_codebook_reports_injected_violation():
+    book = design_layers(3, 0.08, min_coordinate=0.04)
+    c = book.layers[10].c + np.array([0.01, -0.01, 0.0])
+    layers = list(book.layers)
+    layers.insert(11, TorusSpec(c / np.linalg.norm(c)))
+    forged = LayerCodebook(
+        layers=tuple(layers), min_sep=book.min_sep, achieved_sep=book.achieved_sep
+    )
+    report = validate_codebook(forged)
+    pairs = [
+        (i, j, inter_torus_distance(a, b))
+        for (i, a), (j, b) in itertools.combinations(enumerate(layers), 2)
+    ]
+    assert not report.ok
+    assert (10, 11) in [(i, j) for i, j, _ in report.violations]
+    assert list(report.violations) == [p for p in pairs if p[2] < book.min_sep - 1e-12]
+    assert report.achieved_sep == min(d for _, _, d in pairs)
+    assert validate_codebook(book).violations == ()
