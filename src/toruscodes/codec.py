@@ -9,11 +9,12 @@ across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and phases from the received vector, picks the
 closest layer from the magnitudes (a linear scan, M*N work), then finds the
 closest line of the chosen curve's box pre-image in the wrapped flat metric.
-Those lines sit at the points of the curve's rank-(N-1) projection lattice,
-so the second stage is a closest-vector search in that lattice: Babai
-rounding, a 3**(N-1)-point neighbourhood, and an exact enumeration for the
-rare rows the neighbourhood cannot certify.  Its work does not depend on
-the curve length ||u||_1.
+Those lines sit at the points of the curve's rank-(N-1) line lattice (the
+one lattices._line_lattice builds for design too), so the second stage is
+a closest-vector search in that lattice: Babai rounding, a 3**(N-1)-point
+neighbourhood, and an exact enumeration for the rare rows the
+neighbourhood cannot certify.  Its work does not depend on the curve
+length ||u||_1.  The scalar functions wrap the stages of decode_batch.
 """
 
 import json
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point
 from .lattices import LatticeBasis, _closest_in_ball, _gram_schmidt, _line_lattice, shortest_vector
-from .torus import TorusSpec, inter_torus_distance, min_separation  # noqa: F401
+from .torus import TorusSpec, embed, inter_torus_distance, min_separation  # noqa: F401
 
 # inter_torus_distance stays importable from here: perfbench/traced.py
 # wraps it by name.
@@ -241,26 +242,34 @@ def extract_polar(y, strict: bool = True):
     return gamma, theta
 
 
+def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
+    """Layer of each magnitude row (B, N): the c-vector closest to its
+    direction.  The layers are unit vectors, so that one maximizes the dot
+    product; an all-zero row gets layer 0."""
+    norms = np.linalg.norm(gamma, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return np.argmax((gamma / safe[:, None]) @ scheme._layer_radii.T, axis=1)
+
+
+def _box_points(c: np.ndarray, gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Box coordinates angle_i * c_i of the torus point nearest to the
+    received pairs with polar data (gamma, theta); a zero pair takes angle 0."""
+    angles = np.where(gamma > 0.0, theta / np.where(gamma > 0.0, gamma, 1.0), 0.0)
+    return angles * c
+
+
 def nearest_layer(scheme: SchemeCode, gamma) -> int:
     """Index of the layer whose c-vector is closest to the direction of gamma."""
     gamma = np.asarray(gamma, dtype=float)
-    norm = float(np.linalg.norm(gamma))
-    if norm == 0.0:
+    if not np.any(gamma):
         raise UndecodableError("zero magnitude vector")
-    ghat = gamma / norm
-    # layers are unit vectors, so the closest one maximizes the dot product
-    return int(np.argmax(scheme._layer_radii @ ghat))
+    return int(_nearest_layers(scheme, gamma[None, :])[0])
 
 
 def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
     """Nearest point of the torus to y, reconstructed from its polar data."""
     gamma = np.asarray(gamma, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    angles = np.where(gamma > 0.0, theta / np.where(gamma > 0.0, gamma, 1.0), 0.0)
-    out = np.empty(angles.shape[:-1] + (2 * layer.dim,))
-    out[..., 0::2] = layer.c * np.cos(angles)
-    out[..., 1::2] = layer.c * np.sin(angles)
-    return out
+    return embed(layer, _box_points(layer.c, gamma, np.asarray(theta, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +300,7 @@ class _LineLattices:
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
             g = basis @ basis.T
-            kernel.append(kern)
+            kernel.append(np.array(kern, dtype=np.int64))
             gram.append(g)
             coeffs.append(np.linalg.solve(g, basis).T)
             mu, norms2 = _gram_schmidt(basis)
@@ -384,11 +393,7 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     undecodable = np.all(zero, axis=1)
     fallback = np.any(zero, axis=1) & ~undecodable
 
-    cmat = scheme._layer_radii
-    norms = np.linalg.norm(gamma, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    dots = (gamma / safe[:, None]) @ cmat.T
-    layers = np.argmax(dots, axis=1)
+    layers = _nearest_layers(scheme, gamma)
     if counter is not None:
         counter.add(b * (4 * scheme.dim + scheme.n_layers * scheme.dim + scheme.dim))
 
@@ -396,9 +401,7 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     rows = np.flatnonzero(~undecodable)
     if rows.size:
         k = layers[rows]
-        gr = gamma[rows]
-        angles = np.where(gr > 0.0, theta[rows] / np.where(gr > 0.0, gr, 1.0), 0.0)
-        box = angles * cmat[k]  # wrapped box coordinates of the phases
+        box = _box_points(scheme._layer_radii[k], gamma[rows], theta[rows])
         xl = scheme._line_lattices.closest_lines(k, box, counter)
         # invert the seam map; a point on the seam arc goes to the nearer end
         g = _seam_fractions(scheme)[k]
@@ -424,6 +427,19 @@ def decode(scheme: SchemeCode, y, counter: OpCounter | None = None) -> DecodeRes
     )
 
 
+def _golden_section(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise minimiser of f over the brackets [lo, hi] by 60
+    golden-section steps; f maps an array of points to their values."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        a = hi - inv_phi * (hi - lo)
+        b = lo + inv_phi * (hi - lo)
+        left = f(a) < f(b)
+        hi = np.where(left, b, hi)
+        lo = np.where(left, lo, a)
+    return 0.5 * (lo + hi)
+
+
 def _grid_points(grid: int) -> np.ndarray:
     return np.arange(grid) / grid
 
@@ -447,29 +463,12 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000, chunk: 
         dots = ys[sl] @ codebook.T
         best_idx[sl] = np.argmax(dots, axis=1)
     x0 = xs_grid[best_idx]
-
-    # vectorized golden-section on f(x) = -<y, s(x)> over one grid cell
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.maximum(x0 - 1.0 / grid, 0.0)
-    hi = np.minimum(x0 + 1.0 / grid, np.nextafter(1.0, 0.0))
-
-    def f(x):
-        pts = encode_batch(scheme, x)
-        return -np.einsum("bn,bn->b", ys, pts)
-
-    a_x = hi - inv_phi * (hi - lo)
-    b_x = lo + inv_phi * (hi - lo)
-    fa = f(a_x)
-    fb = f(b_x)
-    for _ in range(60):
-        shrink_right = fa < fb
-        hi = np.where(shrink_right, b_x, hi)
-        lo = np.where(shrink_right, lo, a_x)
-        a_x = hi - inv_phi * (hi - lo)
-        b_x = lo + inv_phi * (hi - lo)
-        fa = f(a_x)
-        fb = f(b_x)
-    out = 0.5 * (lo + hi)
+    # golden-section on f(x) = -<y, s(x)> over one grid cell
+    out = _golden_section(
+        lambda x: -np.einsum("bn,bn->b", ys, encode_batch(scheme, x)),
+        np.maximum(x0 - 1.0 / grid, 0.0),
+        np.minimum(x0 + 1.0 / grid, np.nextafter(1.0, 0.0)),
+    )
     return np.minimum(out, np.nextafter(1.0, 0.0))
 
 

@@ -1,6 +1,9 @@
 """Low-rank lattice tools: duals, projections, exact shortest and closest
 vectors by one Schnorr-Euchner enumerator.
 
+A curve's line lattice, the projection of diag(c)*Z^N orthogonal to
+u_hat = c*u, is built one way (_line_lattice) for design and decoding.
+
 Bases are row matrices: each row is one generator, embedded in an ambient
 space of dimension >= rank.  Everything here targets desk-scale ranks
 (<= 8), where exact enumeration is affordable and serves as an oracle.
@@ -10,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -195,56 +199,89 @@ def _kernel_and_bezout(u) -> tuple[list[list[int]], list[int]]:
     return rows, s_prev
 
 
-def _integer_kernel_basis(u) -> list[list[int]]:
-    """Integer row basis of {m in Z^N : <m, u> = 0} for primitive u."""
-    return _kernel_and_bezout(u)[0]
-
-
-def _reduce_rows_int(rows: list[list[int]], metric: np.ndarray) -> np.ndarray:
-    """LLL-style reduction of integer rows k under the linear map k -> k @ metric.
-
-    Only used to condition bases before floating-point work; all updates are
-    integer row operations, so the generated lattice is unchanged.  Input
-    rows are exact Python integers; the reduced rows are small enough for
-    int64.
+def _lll(rows: list[list[int]], w: list[int]) -> list[list[int]]:
+    """Integral LLL (delta = 3/4; Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 2.6.7) of integer rows under the inner product
+    <n, n'> = sum(w * n * n'), with row 0 held first: it is never swapped,
+    so rows 1.. reduce as their projections orthogonal to row 0, and each
+    is size-reduced against row 0 too.  The Gram-Schmidt data are exact
+    integers, d[i] (Gram determinant of the first i rows) and lam[k][j]
+    (d[j+1] times mu[k][j]), so a basis of any skew reduces without rounding.
     """
-    k = np.array(rows, dtype=object)
-    m = k.shape[0]
+    rows = [list(row) for row in rows]
+    m = len(rows)
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            x = sum(map(mul, map(mul, w, rows[k]), rows[j]))
+            for i in range(j):
+                x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = x
+            else:
+                d[k + 1] = x
 
-    def fl(rows):
-        return np.array([[float(x) for x in row] for row in rows]) @ metric
+    def size_reduce(k: int, j: int):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
+            rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
 
-    changed = True
-    guard = 0
-    while changed and guard < 1000:
-        changed = False
-        guard += 1
-        b = fl(k)
-        # size-reduce then check Lovasz swaps on consecutive rows
-        for i in range(1, m):
-            for j in range(i - 1, -1, -1):
-                denom = float(b[j] @ b[j])
-                mu = round(float(b[i] @ b[j]) / denom)
-                if mu != 0:
-                    k[i] = k[i] - mu * k[j]
-                    b = fl(k)
-                    changed = True
-        b = fl(k)
-        # Gram-Schmidt norms for the Lovasz condition (delta = 0.75)
-        bs = b.astype(float).copy()
-        for i in range(m):
-            for j in range(i):
-                denom = float(bs[j] @ bs[j])
-                bs[i] = bs[i] - (float(b[i] @ bs[j]) / denom) * bs[j]
-        for i in range(m - 1):
-            denom = float(bs[i] @ bs[i])
-            mu = float(b[i + 1] @ bs[i]) / denom
-            lhs = float(bs[i + 1] @ bs[i + 1]) + mu * mu * denom
-            if lhs < 0.75 * denom:
-                k[[i, i + 1]] = k[[i + 1, i]]
-                changed = True
-                break
-    return np.array([[int(x) for x in row] for row in k], dtype=np.int64)
+    k = 1
+    while k < m:
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if k > 1 and 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk * lk:  # Lovasz fails
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, m):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = b
+            k -= 1
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return rows
+
+
+def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
+    """Reduced basis of the lattice of lines {2*pi*(u_hat*x + c*n)}, n in Z^N,
+    of the curve with primitive winding u, u_hat = c*u.
+
+    With Bezout coefficients s of u (<s, u> = 1), (u, ker(s)) is a basis of
+    Z^N, and line n lies at P(2*pi*c*n), its projection orthogonal to u_hat.
+    _lll reduces that basis under n -> c*n with u held first: the rows of
+    ker(s) reduce as their projections, and size reduction against u makes
+    each the index of its line nearest the hyperplane,
+    |<c*n, u_hat>| <= ||u_hat||^2 / 2.  All of it is exact integer
+    arithmetic, with one rounding per returned float.  Returns (kernel,
+    basis): the reduced rows (N-1 lists of N ints) and their projections
+    P(2*pi*c*n) (N-1, N), row for row.
+    """
+    u = [int(x) for x in u]
+    _, s = _kernel_and_bezout(u)
+    # c = a / den exactly (den a power of two), so n -> c*n is n -> a*n
+    # scaled, and P(c*n) = a*(d*n - t*u) / (den*d) with the integers
+    # d = <a*u, a*u> and t = <a*n, a*u>
+    ratios = [x.as_integer_ratio() for x in np.asarray(c, dtype=float).tolist()]
+    den = max(q for _, q in ratios)
+    a = [p * (den // q) for p, q in ratios]
+    kernel = _lll([u] + _kernel_and_bezout(s)[0], [x * x for x in a])[1:]
+    au = [ai * ui for ai, ui in zip(a, u)]
+    d = sum(x * x for x in au)
+    basis = []
+    for n in kernel:
+        t = sum(map(mul, map(mul, a, n), au))
+        basis.append([ai * (d * ni - ui * t) / (den * d) for ai, ni, ui in zip(a, n, u)])
+    return kernel, 2.0 * math.pi * np.array(basis)
 
 
 def projection_lattice_basis(c, u) -> LatticeBasis:
@@ -252,15 +289,10 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
     the hyperplane orthogonal to u_hat = (c_1 u_1, ..., c_N u_N).
 
     u must be a primitive integer vector (gcd of entries 1); then the
-    projection is itself a rank-(N-1) lattice.  The construction goes through
-    the dual route: the dual of the projection is the section of the dual
-    lattice by the hyperplane, whose integer coordinates are the kernel of u;
-    dualizing back inside the hyperplane gives the projection.  Rows are
-    returned embedded in R^N, each orthogonal to u_hat, and satisfy
-    det(projection) * ||u_hat|| = prod(c_i).
-
-    The kernel rows are size-reduced before the floating-point dualization so
-    the returned basis stays well conditioned even for large windings.
+    projection is itself a rank-(N-1) lattice, the lattice of lines of the
+    curve with winding u, and its rows come from _line_lattice scaled by
+    1/(2*pi).  Rows are returned embedded in R^N, each orthogonal to u_hat,
+    and satisfy det(projection) * ||u_hat|| = prod(c_i).
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or not np.all(c > 0.0):
@@ -280,37 +312,7 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
         raise PrimitivityError(f"u must be primitive (gcd 1), got gcd {g}")
     if c.size < 2:
         raise ValueError("need ambient dimension >= 2")
-
-    kernel = _integer_kernel_basis(u)
-    kernel = _reduce_rows_int(kernel, np.diag(1.0 / c))
-    dual_rows = kernel / c  # section of the dual lattice inside u_hat^perp
-    gdual = dual_rows @ dual_rows.T
-    primal_rows = np.linalg.solve(gdual, dual_rows)
-
-    u_hat = c * u
-    resid = float(np.max(np.abs(primal_rows @ u_hat)))
-    scale = float(np.max(np.abs(primal_rows))) * float(np.linalg.norm(u_hat))
-    assert resid <= 1e-9 * max(scale, 1.0), "projection rows not orthogonal to u_hat"
-    return LatticeBasis(primal_rows)
-
-
-def _line_lattice(c, u) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced basis of the lattice of lines {2*pi*(u_hat*x + c*n)}, n in Z^N.
-
-    With Bezout coefficients s of u (<s, u> = 1), Z^N = Z*u + ker(s), and
-    the rows n of ker(s) index the lines one to one.  Line n lies at the
-    projection of 2*pi*c*n onto the hyperplane orthogonal to u_hat, so these
-    projections generate the same lattice as 2*pi*projection_lattice_basis.
-    Returns (kernel, basis): reduced integer rows (N-1, N) and their float
-    projections (N-1, N), row for row.
-    """
-    c = np.asarray(c, dtype=float)
-    u_hat = c * np.asarray(u, dtype=float)
-    _, s = _kernel_and_bezout(u)
-    proj = np.eye(c.size) - np.outer(u_hat, u_hat) / float(u_hat @ u_hat)
-    to_line = (2.0 * math.pi * c)[:, None] * proj  # n -> P(2*pi*c*n)
-    kernel = _reduce_rows_int(_integer_kernel_basis(s), to_line)
-    return kernel, kernel @ to_line
+    return LatticeBasis(_line_lattice(c, u)[1] / (2.0 * math.pi))
 
 
 def _gram_schmidt(rows):
@@ -328,7 +330,10 @@ def _gram_schmidt(rows):
     return mu, norms2
 
 
-def _enumerate(mu, norms2, target, bound2: float, leaf, node_cap: int = 10_000_000) -> int:
+_NODE_CAP = 10_000_000  # enumeration nodes before a basis counts as too skew
+
+
+def _enumerate(mu, norms2, target, bound2: float, leaf) -> int:
     """Schnorr-Euchner enumeration of the integer coefficient vectors z whose
     lattice point z @ rows lies within sqrt(bound2) of the point target @ rows.
 
@@ -357,7 +362,7 @@ def _enumerate(mu, norms2, target, bound2: float, leaf, node_cap: int = 10_000_0
             if dist2 > bound2:
                 break
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _NODE_CAP:
                 raise RuntimeError("enumeration node cap exceeded; basis too skew")
             z[i] = zi
             if i == 0:
@@ -390,7 +395,7 @@ def _closest_in_ball(mu, norms2, target, bound2: float):
     return best[0], best[1], nodes
 
 
-def shortest_vector(basis: LatticeBasis, _node_cap: int = 10_000_000) -> ShortestVectorResult:
+def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
     """Globally shortest nonzero lattice vector by exhaustive enumeration.
 
     Enumerates integer coefficient vectors inside the ball of radius equal to
@@ -418,7 +423,7 @@ def shortest_vector(basis: LatticeBasis, _node_cap: int = 10_000_000) -> Shortes
                 candidates.append(tuple(z))
         return best2 * (1.0 + 1e-12)
 
-    _enumerate(mu.tolist(), norms2.tolist(), [0.0] * m, best2 * (1.0 + 1e-12), leaf, _node_cap)
+    _enumerate(mu.tolist(), norms2.tolist(), [0.0] * m, best2 * (1.0 + 1e-12), leaf)
     if not candidates:
         raise DegenerateBasisError("no nonzero vector found (degenerate basis)")
 

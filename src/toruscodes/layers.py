@@ -164,14 +164,14 @@ def design_layers(
             raise InfeasibleSeparationError(
                 f"no candidate layer has all coordinates above {min_coordinate}"
             )
-    accepted: list[np.ndarray] = []
-    acc = np.empty((0, n))
+    accepted = np.empty_like(cands)  # rows [0, count) are the accepted layers
+    count = 0
     target = 2.0 * delta
     for cand in cands:
-        if acc.shape[0] == 0 or np.min(np.linalg.norm(acc - cand, axis=1)) >= target:
-            accepted.append(cand)
-            acc = np.vstack([acc, cand])
-    specs = tuple(TorusSpec(c) for c in accepted)
+        if count == 0 or np.min(np.linalg.norm(accepted[:count] - cand, axis=1)) >= target:
+            accepted[count] = cand
+            count += 1
+    specs = tuple(TorusSpec(c) for c in accepted[:count])
     return LayerCodebook(
         layers=specs, min_sep=target, achieved_sep=min_separation(specs)
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SchemeCode, build_scheme, decode_batch, encode_batch
+from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
 from .curves import CurveSpec, default_target, search_best_w
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
@@ -207,19 +207,12 @@ def estimate_small_ball(cs: CurveSpec, samples: int = 200_000) -> float:
             break
 
     step = 1.0 / (2.0 * samples)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    centres = psis[kept]
     best = math.inf
-    for idx in kept:
-        lo = max(psis[idx] - step, psi_min)
-        hi = min(psis[idx] + step, 0.5)
-        for _ in range(60):
-            a = hi - inv_phi * (hi - lo)
-            bb = lo + inv_phi * (hi - lo)
-            if float(chord2(a)) < float(chord2(bb)):
-                hi = bb
-            else:
-                lo = a
-        psi_star = 0.5 * (lo + hi)
+    # all basins refined at once
+    for psi_star in _golden_section(
+        chord2, np.maximum(centres - step, psi_min), np.minimum(centres + step, 0.5)
+    ).tolist():
         # recover the fold's lattice translate and its perpendicular gap
         n_vec = np.round(u * psi_star)
         if not np.any(n_vec):

@@ -485,6 +485,25 @@ def test_four_dimensional_scheme_roundtrip(rng):
     assert np.max(np.abs(x_hat - xs)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_roundtrip_long_general_windings(n):
+    # windings with |u_i| up to 3e5 and u_1 != 1: a line-lattice row that
+    # drifts along u by many periods loses the digits of its projection, and
+    # noiseless decoding then misses by up to a whole fold
+    from conftest import random_primitive, random_torus
+
+    rng = np.random.default_rng(7)
+    curves = [
+        make_curve(random_torus(rng, n), random_primitive(rng, n, lo=-300_000, hi=300_000))
+        for _ in range(8)
+    ]
+    s = build_scheme(curves)
+    xs = rng.random(4096)
+    x_hat, _, undec, _ = decode_batch(s, encode_batch(s, xs))
+    assert not undec.any()
+    assert np.max(np.abs(x_hat - xs)) <= 1e-9
+
+
 def test_locus_separation(scheme_multi, rng):
     s = scheme_multi
     xs = rng.random(400)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from toruscodes import (
     shortest_vector,
     unit_ball_volume,
 )
-from toruscodes.lattices import _closest_in_ball, _gram_schmidt, _line_lattice, brute_force_shortest
+from toruscodes.lattices import (
+    _closest_in_ball,
+    _gram_schmidt,
+    _int_det,
+    _line_lattice,
+    brute_force_shortest,
+)
 from conftest import brute_projection_shortest, random_primitive
 
 HEX = [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
@@ -225,19 +232,51 @@ def test_closest_in_ball_vs_brute_force(rng):
 
 def test_line_lattice_indexes_lines(rng):
     # each reduced kernel row n is a line index: its projected row is the
-    # projection of 2*pi*c*n, and the rows span the projection lattice
+    # projection of 2*pi*c*n, so the rows span a sublattice of the
+    # projection lattice; its covolume det * ||u_hat|| = prod(c) makes it
+    # the whole lattice, and for windings small enough for the brute-force
+    # box its shortest vector matches the oracle
     for n in (2, 3, 4):
-        for _ in range(10):
-            c = rng.uniform(0.5, 1.5, size=n)
-            u = random_primitive(rng, n, lo=-40, hi=40)
-            kernel, rows = _line_lattice(c, u)
-            u_hat = c * u
-            lifted = 2 * math.pi * c * kernel
-            proj = lifted - np.outer(lifted @ u_hat, u_hat) / float(u_hat @ u_hat)
-            assert np.allclose(rows, proj, atol=1e-9)
-            assert same_lattice(
-                LatticeBasis(rows / (2 * math.pi)), projection_lattice_basis(c, u)
-            )
+        for hi in (3, 40):
+            for _ in range(10):
+                c = rng.uniform(0.5, 1.5, size=n)
+                u = random_primitive(rng, n, lo=-hi, hi=hi)
+                kernel, rows = _line_lattice(c, u)
+                u_hat = c * u
+                lifted = 2 * math.pi * c * kernel
+                proj = lifted - np.outer(lifted @ u_hat, u_hat) / float(u_hat @ u_hat)
+                assert np.allclose(rows, proj, atol=1e-9)
+                basis = LatticeBasis(rows / (2 * math.pi))
+                prod_c = float(np.prod(c))
+                assert abs(basis.det() * np.linalg.norm(u_hat) - prod_c) < 1e-9 * prod_c
+                if hi == 3:
+                    oracle = brute_projection_shortest(c, u, box=4)
+                    assert abs(shortest_vector(basis).norm - oracle) < 1e-9
+
+
+def test_line_lattice_rows_reduced(rng):
+    # size reduction against u leaves each row n the representative of its
+    # line n + Z*u nearest the hyperplane: |<c*n, u_hat>| / ||u_hat||^2 <= 1/2,
+    # checked in exact rational arithmetic (floats are exact rationals), also
+    # for long windings with u_1 != 1; with u the rows are a basis of Z^N,
+    # and their projections are LLL-reduced (delta = 3/4)
+    for n in (2, 3, 4):
+        for hi in (40, 300_000):
+            for _ in range(10):
+                c = rng.uniform(0.5, 1.5, size=n)
+                u = [int(x) for x in random_primitive(rng, n, lo=-hi, hi=hi)]
+                kernel, rows = _line_lattice(c, u)
+                w = [Fraction(x) ** 2 for x in c.tolist()]
+                uu = sum(wi * ui * ui for wi, ui in zip(w, u))
+                for row in kernel:
+                    t = sum(wi * ni * ui for wi, ni, ui in zip(w, row, u)) / uu
+                    assert abs(t) <= Fraction(1, 2)
+                assert abs(_int_det([u] + kernel)) == 1
+                mu, norms2 = _gram_schmidt(rows)
+                assert np.all(np.abs(mu) <= 0.5 + 1e-9)
+                for i in range(1, n - 1):
+                    lovasz = (0.75 - mu[i, i - 1] ** 2) * norms2[i - 1]
+                    assert norms2[i] >= lovasz * (1.0 - 1e-9)
 
 
 def test_rank_guard():
