@@ -114,7 +114,7 @@ def _cmd_encode(args) -> int:
         try:
             x = float(line)
             y = encode(scheme, x)
-        except (ValueError, OutOfRangeError) as exc:
+        except ValueError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             print("NA")
             status = 1

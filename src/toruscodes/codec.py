@@ -11,26 +11,25 @@ closest layer from the magnitudes (a linear scan, M*N work), then finds the
 closest line of the chosen curve's box pre-image in the wrapped flat metric.
 Those lines sit at the points of the curve's rank-(N-1) line lattice (the
 one lattices._line_lattice builds for design too), so the second stage is
-a closest-vector search in that lattice: Babai rounding, a 3**(N-1)-point
-neighbourhood, and an exact enumeration for the rare rows the
-neighbourhood cannot certify.  Its work does not depend on the curve
-length ||u||_1.  The scalar functions wrap the stages of decode_batch.
+a closest-vector search in that lattice: Babai rounding, certified when the
+rounded point lies within half the shortest lattice vector, and an exact
+enumeration for the rows it cannot certify.  Its work does not depend on
+the curve length ||u||_1.  The scalar functions wrap the stages of decode_batch.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
-from .curves import CurveSpec, curve_point
+from .curves import CurveSpec, curve_point  # noqa: F401
 from .lattices import LatticeBasis, _closest_in_ball, _gram_schmidt, _line_lattice, shortest_vector
-from .torus import TorusSpec, embed, inter_torus_distance, min_separation  # noqa: F401
+from .torus import TorusSpec, _embed, embed, inter_torus_distance, min_separation  # noqa: F401
 
-# inter_torus_distance stays importable from here: perfbench/traced.py
-# wraps it by name.
+# curve_point and inter_torus_distance stay importable from here, though
+# nothing here calls them: perfbench/traced.py wraps both by name.
 
 __all__ = [
     "SchemeCode",
@@ -52,6 +51,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# received rows per grid scan of decode_exhaustive_batch, bounding its
+# (rows, grid) dot-product block
+_EXHAUSTIVE_CHUNK = 128
 
 
 class AmbiguousPhaseError(ValueError):
@@ -74,39 +76,80 @@ class OpCounter:
 
 @dataclass(frozen=True, eq=False)
 class SchemeCode:
-    """Full encoder state: ordered curves, interval partition, power scale.
-
-    ball_radius is the protection radius of the whole locus: the smallest
-    curve small-ball lower bound, capped at half the achieved layer
-    separation (a single curve is only protected as far as the neighboring
-    layers allow).
+    """Full encoder state: the ordered curves, one per layer, the power
+    scale alpha, and the seam guard.
 
     guard is the arc length, on the unit-sphere curve, left unused around
     each curve's closure point so that the two ends of a subinterval lie
     apart; 0 maps each subinterval onto the whole closed curve.
+
+    Everything else is derived from these three fields: the curve lengths,
+    the breakpoints of the interval partition (proportional to length), the
+    per-layer arrays the encoder and decoder gather from, and ball_radius,
+    the protection radius of the whole locus: the smallest curve small-ball
+    lower bound, capped at half the achieved layer separation (a single
+    curve is only protected as far as the neighboring layers allow).
     """
 
     curves: tuple
-    lengths: np.ndarray
-    total_length: float
-    breakpoints: np.ndarray
     alpha: float
-    ball_radius: float
     guard: float = 0.0
 
     def __post_init__(self):
-        for arr in (self.lengths, self.breakpoints):
-            arr.flags.writeable = False
+        if not self.curves:
+            raise ValueError("need at least one curve")
+        if any(cs.torus.dim != self.dim for cs in self.curves):
+            raise ValueError("all curves must live on tori of the same dimension")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if abs(self.breakpoints[-1] - 1.0) > 1e-12:
-            raise ValueError("breakpoints must end at 1")
-        if np.any(np.diff(self.breakpoints) <= 0.0) or self.breakpoints[0] <= 0.0:
-            raise ValueError("breakpoints must be strictly increasing")
-        if abs(self.total_length - float(self.lengths.sum())) > 1e-9 * self.total_length:
-            raise ValueError("total_length must equal the sum of curve lengths")
         if not 0.0 <= self.guard < float(self.lengths.min()):
             raise ValueError("guard must lie in [0, shortest curve length)")
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return _frozen(np.array([cs.length for cs in self.curves]))
+
+    @cached_property
+    def total_length(self) -> float:
+        return float(self.lengths.sum())
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        """Upper end of each layer's subinterval of [0, 1)."""
+        breakpoints = np.cumsum(self.lengths) / self.total_length
+        breakpoints[-1] = 1.0
+        return _frozen(breakpoints)
+
+    @cached_property
+    def ball_radius(self) -> float:
+        # lazy: the layer separations cost O(M^2), and encoding and
+        # decoding never need them
+        sep = min_separation([cs.torus for cs in self.curves])
+        return float(min(min(cs.ball_lower for cs in self.curves), sep / 2.0))
+
+    @cached_property
+    def _lows(self) -> np.ndarray:
+        """(M,) lower end of each layer's subinterval."""
+        return np.concatenate(([0.0], self.breakpoints[:-1]))
+
+    @cached_property
+    def _widths(self) -> np.ndarray:
+        return self.breakpoints - self._lows
+
+    @cached_property
+    def _seams(self) -> np.ndarray:
+        """(M,) fraction g of each curve's parameter taken by the seam arc."""
+        return self.guard / self.lengths
+
+    @cached_property
+    def _radii(self) -> np.ndarray:
+        """(M, N) stack of the layers' c-vectors."""
+        return np.stack([cs.torus.c for cs in self.curves])
+
+    @cached_property
+    def _u_hats(self) -> np.ndarray:
+        """(M, N) stack of the curves' directions u_hat."""
+        return np.stack([cs.u_hat for cs in self.curves])
 
     @property
     def n_layers(self) -> int:
@@ -126,11 +169,6 @@ class SchemeCode:
             "guard": self.guard,
             "curves": [cs.to_dict() for cs in self.curves],
         }
-
-    @cached_property
-    def _layer_radii(self) -> np.ndarray:
-        """(M, N) stack of the layers' c-vectors."""
-        return np.stack([cs.torus.c for cs in self.curves])
 
     @cached_property
     def _line_lattices(self) -> "_LineLattices":
@@ -158,40 +196,15 @@ class DecodeResult:
     phase_fallback: bool = False
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     """Assemble a SchemeCode from curves (one per layer), a power scale and a
     seam guard arc length."""
-    curves = tuple(curves)
-    if not curves:
-        raise ValueError("need at least one curve")
-    dim = curves[0].torus.dim
-    if any(cs.torus.dim != dim for cs in curves):
-        raise ValueError("all curves must live on tori of the same dimension")
-    lengths = np.array([cs.length for cs in curves])
-    total = float(lengths.sum())
-    breakpoints = np.cumsum(lengths) / total
-    breakpoints[-1] = 1.0
-    sep = min_separation([cs.torus for cs in curves])
-    ball = min(cs.ball_lower for cs in curves)
-    ball = min(ball, sep / 2.0)
-    return SchemeCode(
-        curves=curves,
-        lengths=lengths,
-        total_length=total,
-        breakpoints=breakpoints,
-        alpha=float(alpha),
-        ball_radius=float(ball),
-        guard=float(guard),
-    )
-
-
-def _interval_lows(scheme: SchemeCode) -> np.ndarray:
-    return np.concatenate(([0.0], scheme.breakpoints[:-1]))
-
-
-def _seam_fractions(scheme: SchemeCode) -> np.ndarray:
-    """Per-curve fraction g of the curve parameter taken by the seam arc."""
-    return scheme.guard / scheme.lengths
+    return SchemeCode(curves=tuple(curves), alpha=float(alpha), guard=float(guard))
 
 
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
@@ -199,15 +212,11 @@ def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
         raise ValueError("encoder input must lie in [0, 1)")
     ks = np.searchsorted(scheme.breakpoints, xs, side="right")
-    lows = _interval_lows(scheme)
-    gs = _seam_fractions(scheme)
-    out = np.empty(xs.shape + (2 * scheme.dim,))
-    for k in np.unique(ks):
-        mask = ks == k
-        width = scheme.breakpoints[k] - lows[k]
-        local = np.minimum((xs[mask] - lows[k]) / width, np.nextafter(1.0, 0.0))
-        out[mask] = curve_point(scheme.curves[k], gs[k] / 2.0 + (1.0 - gs[k]) * local)
-    return scheme.alpha * out
+    local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], np.nextafter(1.0, 0.0))
+    g = scheme._seams[ks]
+    # curve_point of curve ks at parameter g/2 + (1 - g)*local, gathered
+    t = g / 2.0 + (1.0 - g) * local
+    return scheme.alpha * _embed(scheme._radii[ks], _TWO_PI * t[..., None] * scheme._u_hats[ks])
 
 
 def encode(scheme: SchemeCode, x: float) -> np.ndarray:
@@ -248,7 +257,7 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     product; an all-zero row gets layer 0."""
     norms = np.linalg.norm(gamma, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
-    return np.argmax((gamma / safe[:, None]) @ scheme._layer_radii.T, axis=1)
+    return np.argmax((gamma / safe[:, None]) @ scheme._radii.T, axis=1)
 
 
 def _box_points(c: np.ndarray, gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -290,8 +299,6 @@ class _LineLattices:
     periods: np.ndarray  # (M, N): 2*pi*c
     along: np.ndarray  # (M, N): u_hat / (2*pi*||u_hat||^2), box point -> x
     certified2: np.ndarray  # (M,): squared half shortest lattice vector
-    offsets: np.ndarray  # (3**(N-1), N-1): the +-1 neighbourhood of a point
-    offset2: np.ndarray  # (M, 3**(N-1)): o G o for each offset o
     gso: tuple  # per curve (mu, norms2) lists for the enumeration fallback
 
     @classmethod
@@ -310,19 +317,15 @@ class _LineLattices:
             shortest.append(shortest_vector(LatticeBasis(basis)).norm)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
-        gram = np.stack(gram)
-        offsets = np.array(list(product((-1.0, 0.0, 1.0), repeat=c.shape[1] - 1)))
         return cls(
             kernel=np.stack(kernel),
-            gram=gram,
+            gram=np.stack(gram),
             coeffs=np.stack(coeffs),
             periods=_TWO_PI * c,
             along=u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None],
             # a lattice point closer than half the shortest vector is the
             # unique closest one; the margin absorbs rounding
             certified2=(np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9),
-            offsets=offsets,
-            offset2=np.einsum("on,knm,om->ko", offsets, gram, offsets),
             gso=tuple(gso),
         )
 
@@ -330,27 +333,20 @@ class _LineLattices:
         """Parameter in [0, 1) of the closest line of curve layers[i] to each
         box point box[i] (B, N), in the wrapped flat metric.
 
-        Babai rounding of the coefficients, then the best point of the +-1
-        neighbourhood of the rounded point.  A best distance below half the
-        line spacing certifies it; other rows run an exact enumeration
-        seeded with that distance.
+        Babai rounding of the coefficients: a rounded point closer than half
+        the line spacing is the closest line.  Other rows run an exact
+        enumeration seeded with the rounded point's distance.
         """
         b, n = box.shape
-        offsets = self.offsets
         t = np.einsum("bn,bnm->bm", box, self.coeffs[layers])
         z = np.rint(t)
         f = t - z
-        gf = np.einsum("bn,bnm->bm", f, self.gram[layers])
-        # squared distance of each neighbour z + o: (f - o) G (f - o)
-        dist2 = np.einsum("bn,bn->b", f, gf)[:, None] - 2.0 * gf @ offsets.T
-        dist2 += self.offset2[layers]
-        best = np.argmin(dist2, axis=1)
-        z += offsets[best]
-        best2 = dist2[np.arange(b), best]
+        babai2 = np.einsum("bn,bnm,bm->b", f, self.gram[layers], f)
         nodes = 0
-        for i in np.flatnonzero(best2 >= self.certified2[layers]):
+        for i in np.flatnonzero(babai2 >= self.certified2[layers]):
             mu, norms2 = self.gso[layers[i]]
-            found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), best2[i] * (1.0 + 1e-9))
+            bound2 = babai2[i] * (1.0 + 1e-9)
+            found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), bound2)
             nodes += visited
             if found is not None:
                 z[i] = found
@@ -360,9 +356,8 @@ class _LineLattices:
         xs -= np.floor(xs)
         if counter is not None:
             m = n - 1
-            # coefficients, G f, f G f, neighbour distances, line index,
-            # residual, position along the line
-            counter.add(b * (n * m + m * m + m + offsets.shape[0] * (m + 1) + m * n + 2 * n))
+            # coefficients, f G f, line index, residual, position along the line
+            counter.add(b * (n * m + m * m + m + m * n + 2 * n))
             counter.add(nodes * n)  # one partial norm update per enumeration node
         return np.minimum(xs, np.nextafter(1.0, 0.0))
 
@@ -401,13 +396,12 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     rows = np.flatnonzero(~undecodable)
     if rows.size:
         k = layers[rows]
-        box = _box_points(scheme._layer_radii[k], gamma[rows], theta[rows])
+        box = _box_points(scheme._radii[k], gamma[rows], theta[rows])
         xl = scheme._line_lattices.closest_lines(k, box, counter)
         # invert the seam map; a point on the seam arc goes to the nearer end
-        g = _seam_fractions(scheme)[k]
+        g = scheme._seams[k]
         local = np.clip((xl - g / 2.0) / (1.0 - g), 0.0, np.nextafter(1.0, 0.0))
-        lows = _interval_lows(scheme)[k]
-        x_hat[rows] = lows + local * (scheme.breakpoints[k] - lows)
+        x_hat[rows] = scheme._lows[k] + local * scheme._widths[k]
         if counter is not None:
             counter.add(rows.size * (scheme.dim + 1))
     x_hat = np.minimum(x_hat, np.nextafter(1.0, 0.0))
@@ -444,7 +438,7 @@ def _grid_points(grid: int) -> np.ndarray:
     return np.arange(grid) / grid
 
 
-def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000, chunk: int = 128):
+def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     """Maximum-likelihood oracle: grid argmin of ||y - s(x)|| plus refinement.
 
     All codewords share norm alpha, so the grid argmin reduces to a dot
@@ -458,8 +452,8 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000, chunk: 
     codebook = encode_batch(scheme, xs_grid)  # (G, 2N)
     b = ys.shape[0]
     best_idx = np.empty(b, dtype=np.int64)
-    for start in range(0, b, chunk):
-        sl = slice(start, min(start + chunk, b))
+    for start in range(0, b, _EXHAUSTIVE_CHUNK):
+        sl = slice(start, start + _EXHAUSTIVE_CHUNK)
         dots = ys[sl] @ codebook.T
         best_idx[sl] = np.argmax(dots, axis=1)
     x0 = xs_grid[best_idx]

@@ -179,20 +179,13 @@ def curve_point(cs: CurveSpec, x) -> np.ndarray:
     return embed(cs.torus, box)
 
 
-def _c_of(torus_or_c) -> np.ndarray:
-    if isinstance(torus_or_c, TorusSpec):
-        return torus_or_c.c
-    return np.asarray(torus_or_c, dtype=float)
-
-
-def line_spacing(torus_or_c, u) -> float:
+def line_spacing(torus: TorusSpec, u) -> float:
     """Minimum distance between distinct lines of the curve's box pre-image.
 
     Equals the shortest nonzero vector of the projection of diag(c)*Z^N onto
     the hyperplane orthogonal to u_hat.
     """
-    c = _c_of(torus_or_c)
-    return shortest_vector(projection_lattice_basis(c, u)).norm
+    return shortest_vector(projection_lattice_basis(torus.c, u)).norm
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:

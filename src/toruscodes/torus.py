@@ -87,10 +87,13 @@ def embed(torus: TorusSpec, u) -> np.ndarray:
     Coordinate pair 2i, 2i+1 is c_i*(cos(u_i/c_i), sin(u_i/c_i)).  The image
     always has unit norm.  Periodic with period 2*pi*c_i in coordinate i.
     """
-    u = np.asarray(u, dtype=float)
-    c = torus.c
+    return _embed(torus.c, np.asarray(u, dtype=float))
+
+
+def _embed(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """embed with radii c that broadcast against u, e.g. one torus per row."""
     angles = u / c
-    out = np.empty(u.shape[:-1] + (2 * torus.dim,), dtype=float)
+    out = np.empty(angles.shape[:-1] + (2 * angles.shape[-1],), dtype=float)
     out[..., 0::2] = c * np.cos(angles)
     out[..., 1::2] = c * np.sin(angles)
     return out

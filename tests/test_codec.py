@@ -111,6 +111,25 @@ def test_encode_single_layer_is_plain_curve(scheme_m1):
     assert np.allclose(encode_batch(s, xs), s.alpha * curve_point(s.curves[0], xs))
 
 
+def test_encode_batch_matches_per_row_curve_point(scheme_multi, rng):
+    # the gathered encoder against the formula it implements, one row at a
+    # time, including every breakpoint and the value just below it
+    s = scheme_multi
+    from toruscodes import curve_point
+
+    assert s.n_layers >= 3 and s.guard > 0.0
+    bp = s.breakpoints[:-1]
+    xs = np.concatenate([rng.random(500), [0.0], bp, np.nextafter(bp, 0.0)])
+    lows = np.concatenate(([0.0], s.breakpoints[:-1]))
+    ref = np.empty((xs.size, 2 * s.dim))
+    for i, x in enumerate(xs):
+        k = int(np.searchsorted(s.breakpoints, x, side="right"))
+        local = min((x - lows[k]) / (s.breakpoints[k] - lows[k]), np.nextafter(1.0, 0.0))
+        g = s.guard / s.lengths[k]
+        ref[i] = s.alpha * curve_point(s.curves[k], g / 2.0 + (1.0 - g) * local)
+    assert np.array_equal(encode_batch(s, xs), ref)
+
+
 def test_energy_constraint(scheme_multi, rng):
     s2 = build_scheme(scheme_multi.curves, alpha=2.5)
     xs = rng.random(500)
@@ -425,6 +444,50 @@ def test_decode_on_torus_deep_hole_runs_enumeration(scheme_m1):
     best = float(_flat_distance_profile(cs, p, grid).min())
     got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
     assert got <= best + 1e-9
+
+
+def test_decode_batch_picks_closest_line_at_high_noise():
+    # at sigma = alpha*delta many rows lie farther than half a line spacing
+    # from their rounded lattice point, so the enumeration decides them;
+    # the oracle is a brute-force minimum over a +-3 coefficient box
+    from toruscodes.lattices import _line_lattice
+
+    s = design_scheme(design_layers(4, 0.12, min_coordinate=0.06), 0.12)
+    rng = np.random.default_rng(31)
+    ys = encode_batch(s, rng.random(3000))
+    ys += s.alpha * 0.12 * rng.standard_normal(ys.shape)
+    noisy, clean = OpCounter(), OpCounter()
+    x_hat, layer, undec, _ = decode_batch(s, ys, counter=noisy)
+    decode_batch(s, encode_batch(s, rng.random(len(ys))), counter=clean)
+    assert not undec.any()
+    assert noisy.mults > clean.mults  # noiseless rows never enumerate
+
+    gamma, theta = extract_polar(ys)
+    box = np.stack([s.curves[k].torus.c for k in layer]) * theta / gamma
+    offsets = np.array(np.meshgrid(*[np.arange(-3, 4)] * 3, indexing="ij")).reshape(3, -1).T
+    expected = np.empty(len(ys))
+    moved = 0
+    for k in np.unique(layer):
+        rows = np.flatnonzero(layer == k)
+        cs = s.curves[k]
+        kernel, basis = _line_lattice(cs.torus.c, cs.u)
+        t = np.linalg.solve(basis @ basis.T, basis @ box[rows].T).T
+        z0 = np.rint(t)
+        cand = z0[:, None, :] + offsets[None, :, :]
+        diff = (t[:, None, :] - cand) @ basis
+        best = np.argmin(np.einsum("bon,bon->bo", diff, diff), axis=1)
+        z = cand[np.arange(rows.size), best]
+        assert np.abs(z - z0).max() < 3  # the box holds each minimum
+        moved += int(np.any(z != z0, axis=1).sum())
+        lines = z.astype(np.int64) @ np.array(kernel)
+        resid = box[rows] - 2 * math.pi * cs.torus.c * lines
+        xl = np.mod(resid @ cs.u_hat / (2 * math.pi * (cs.u_hat @ cs.u_hat)), 1.0)
+        g = s.guard / cs.length
+        local = np.clip((xl - g / 2.0) / (1.0 - g), 0.0, np.nextafter(1.0, 0.0))
+        low = s.breakpoints[k - 1] if k else 0.0
+        expected[rows] = low + local * (s.breakpoints[k] - low)
+    assert moved > 0  # some Babai points were not the closest
+    assert np.max(np.abs(x_hat - expected)) < 1e-9
 
 
 @pytest.fixture(scope="module")
