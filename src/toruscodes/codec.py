@@ -100,8 +100,8 @@ class SchemeCode:
             raise ValueError("need at least one curve")
         if any(cs.torus.dim != self.dim for cs in self.curves):
             raise ValueError("all curves must live on tori of the same dimension")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be finite and positive")
         if not 0.0 <= self.guard < float(self.lengths.min()):
             raise ValueError("guard must lie in [0, shortest curve length)")
 

@@ -10,11 +10,12 @@ orthogonal to u_hat.
 The scaled lifting construction generates winding vectors whose projection
 lattices converge (in Gram distance) to any chosen target lattice, which is
 how long curves with guaranteed spacing are found.  search_best_w looks for
-the largest window w whose curve keeps a spacing target: it computes the
-windings of a whole block of windows at once as integer arrays, drops the
-windows a Hermite bound rules out, and runs the exact shortest-vector
-spacing only on the survivors, block after block of descending w, until
-the first hit.
+the largest window w whose curve keeps a spacing target: it first drops
+whole ranges of windows whose interval bound on ||u_hat|| shows that a
+Hermite bound rules out every one of them, then computes the windings of
+the remaining windows block by block as integer arrays, drops the windows
+the Hermite bound rules out, and runs the exact shortest-vector spacing
+only on the survivors, in descending w, until the first hit.
 """
 
 import json
@@ -382,7 +383,36 @@ def lifting_winding(target: TargetLattice, c, w: int) -> np.ndarray:
 
 
 _HERMITE = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0)}
-_SCAN_BLOCK = 4096  # windows per block of search_best_w
+_SCAN_BLOCK = 256  # widest window range search_best_w scans as one block
+_SKIP_MARGIN = 1e-9  # relative slack for rounding in the per-window norm
+
+
+def _range_norm2_floor(target, c_scaled, c, lo: int, hi: int) -> float:
+    """Lower bound on the scan's ||u_hat||^2 for every window in [lo, hi].
+
+    Each floor a[i][j](w) is monotone in w (float rounding is monotone, so
+    the computed floors are too), so over the range it lies between its
+    values at lo and hi.  The winding recursion run once on those
+    intervals, in exact integers, gives an interval for each u_i, and
+    |u_i| is at least the smaller end's magnitude (0 for an interval that
+    contains 0).  The bound is shrunk by _SKIP_MARGIN to cover the float
+    rounding of the per-window norm.
+    """
+    a = _window_floors(target, c_scaled, [lo, hi])
+    a_lo, a_hi = np.minimum(a[0], a[1]).tolist(), np.maximum(a[0], a[1]).tolist()
+    box = [(1, 1)]
+    for i in range(target.dim):
+        low, high = int(a_lo[i][0]), int(a_hi[i][0])
+        for j in range(1, i + 1):
+            ends = [int(f) * u for f in (a_lo[i][j], a_hi[i][j]) for u in box[j]]
+            low += min(ends)
+            high += max(ends)
+        box.append((-high, -low))
+    norm2 = 0.0
+    for cj, (low, high) in zip(c.tolist(), box):
+        if low > 0 or high < 0:
+            norm2 += (cj * min(abs(low), abs(high))) ** 2
+    return norm2 / (1.0 + _SKIP_MARGIN) ** 2
 
 
 def search_best_w(
@@ -400,10 +430,16 @@ def search_best_w(
     sqrt(g_m) * V^(1/m) with g_m the Hermite constant, so any w with
     g_m^(m/2) * V < r_min^m is skipped.
 
-    The scan runs in blocks of _SCAN_BLOCK windows of descending w: the
-    windings and the prune of a whole block are array operations, and the
-    exact line spacing is computed only for the windows that survive, in
-    descending w, until the first hit.  Memory does not depend on w_max.
+    Whole ranges of windows are ruled out before any of their windings is
+    computed.  The range [1, w_max] is split in halves, upper half first;
+    a range whose interval bound on ||u_hat|| (_range_norm2_floor) shows that
+    the prune fires on every one of its windows is dropped, and a range of
+    at most _SCAN_BLOCK windows that is not is scanned as one block: its
+    windings and its prune are array operations, and the exact line spacing
+    is computed only for the windows that survive, in descending w, until
+    the first hit.  A dropped window could never be a hit, so the result is the
+    one of a scan of every window.  Where _HERMITE has no constant for the
+    rank, nothing is pruned or dropped.  Memory does not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.
     """
@@ -418,8 +454,21 @@ def search_best_w(
     c_scaled = c / c[0]
     gamma = _HERMITE.get(m)
     prod_c = float(np.prod(c))
-    for top in range(int(w_max), 0, -_SCAN_BLOCK):
-        ws = np.arange(top, max(top - _SCAN_BLOCK, 0), -1)
+
+    def pruned(norm2):
+        # spacing provably below r_min where the bound fails
+        return gamma ** (m / 2.0) * (prod_c / np.sqrt(norm2)) < r_min**m
+
+    ranges = [(1, int(w_max))]
+    while ranges:
+        lo, hi = ranges.pop()
+        if gamma is not None and pruned(_range_norm2_floor(target, c_scaled, c, lo, hi)):
+            continue
+        if hi - lo >= _SCAN_BLOCK:
+            mid = (lo + hi) // 2
+            ranges += [(lo, mid), (mid + 1, hi)]
+            continue
+        ws = np.arange(hi, lo - 1, -1)
         us = _lifting_windings(target, c_scaled, ws)
         survivors = range(len(ws))
         if gamma is not None:
@@ -430,9 +479,7 @@ def search_best_w(
             norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
             for i in range(1, m + 1):
                 norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
-            det = prod_c / np.sqrt(norm2)
-            # spacing provably below r_min where the bound fails
-            survivors = np.flatnonzero(~(gamma ** (m / 2.0) * det < r_min**m))
+            survivors = np.flatnonzero(~pruned(norm2))
         for k in survivors:
             u = _checked_winding(us[k])
             r = line_spacing(torus, u)

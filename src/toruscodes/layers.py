@@ -37,6 +37,8 @@ class GridResolutionError(ValueError):
 
 
 _MAX_CANDIDATES = 5_000_000
+_GREEDY_BLOCK = 64  # most candidates per block of the layer greedy
+_GREEDY_PAIRS = 16_384  # most (candidate, accepted layer) pairs per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +113,22 @@ def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
     return cands[order]
 
 
+def _far_from(points, columns, target: float) -> np.ndarray:
+    """Which rows of points lie at distance >= target from every column.
+
+    Squared differences are summed coordinate by coordinate in index order,
+    as np.linalg.norm sums fewer than 8 terms; sqrt is monotone, so taking
+    it after the min gives the same bits.  The temporaries are two arrays
+    of one float per (point, column) pair.
+    """
+    d2 = np.zeros((points.shape[0], columns.shape[1]))
+    for k in range(columns.shape[0]):
+        d = points[:, k, None] - columns[k]
+        d *= d
+        d2 += d
+    return np.sqrt(d2.min(axis=1)) >= target
+
+
 def design_layers(
     n: int,
     delta: float,
@@ -124,8 +142,14 @@ def design_layers(
     grid-greedy enumerates unit vectors with positive entries on an angular
     grid of step <= delta/2 (a documented tunable) and accepts candidates in
     lexicographic order whenever they keep distance >= 2*delta from all
-    accepted ones.  Deterministic for fixed inputs.  The user-supplied
-    strategy validates and wraps an explicit list of c-vectors instead.
+    accepted ones.  Deterministic for fixed inputs.  The greedy runs block
+    by block: one array operation checks a block of candidates against the
+    layers accepted before it, and only the survivors are then checked in
+    order against the block's own acceptances.  A block holds at most
+    _GREEDY_BLOCK candidates and _GREEDY_PAIRS (candidate, accepted layer)
+    pairs, so its temporaries stay under 0.5 MB whatever the number of
+    layers.  The user-supplied strategy validates and wraps an explicit
+    list of c-vectors instead.
 
     min_coordinate drops candidates whose smallest coordinate is at or below
     the threshold before the greedy runs; scheme design passes delta/2 here,
@@ -164,14 +188,22 @@ def design_layers(
             raise InfeasibleSeparationError(
                 f"no candidate layer has all coordinates above {min_coordinate}"
             )
-    accepted = np.empty_like(cands)  # rows [0, count) are the accepted layers
+    accepted = np.empty((n, cands.shape[0]))  # columns [0, count) are the accepted layers
     count = 0
     target = 2.0 * delta
-    for cand in cands:
-        if count == 0 or np.min(np.linalg.norm(accepted[:count] - cand, axis=1)) >= target:
-            accepted[count] = cand
-            count += 1
-    specs = tuple(TorusSpec(c) for c in accepted[:count])
+    start = 0
+    while start < cands.shape[0]:
+        size = max(1, min(_GREEDY_BLOCK, _GREEDY_PAIRS // max(count, 1)))
+        block = cands[start : start + size]
+        start += block.shape[0]
+        if count:
+            block = block[_far_from(block, accepted[:, :count], target)]
+        first = count
+        for cand in block:
+            if count == first or _far_from(cand[None], accepted[:, first:count], target)[0]:
+                accepted[:, count] = cand
+                count += 1
+    specs = tuple(TorusSpec(c) for c in accepted[:, :count].T)
     return LayerCodebook(
         layers=specs, min_sep=target, achieved_sep=min_separation(specs)
     )

@@ -97,6 +97,18 @@ def test_decode_malformed_and_zero(scheme_file, monkeypatch, capsys):
     assert "line 1" in err and "line 2" in err
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_encode_rejects_non_finite_alpha(scheme_file, tmp_path, alpha, monkeypatch, capsys):
+    data = json.loads(scheme_file.read_text())
+    data["scheme"]["alpha"] = alpha
+    bad = tmp_path / "scheme.json"
+    bad.write_text(json.dumps(data))
+    assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+    code, out, err = run_cli(["encode", "-s", str(bad)], "0.25\n", monkeypatch, capsys)
+    assert code == 1
+    assert out == "" and "alpha" in err
+
+
 def test_simulate_deterministic(scheme_file, capsys):
     argv = [
         "simulate", "-s", str(scheme_file),

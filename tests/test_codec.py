@@ -421,8 +421,8 @@ def test_decode_on_torus_attains_grid_minimum(case):
 
 def test_decode_on_torus_deep_hole_runs_enumeration(scheme_m1):
     # the circumcentre of a lattice triangle of the near-hexagonal line
-    # lattice lies farther than half a spacing from every line, so the
-    # neighbourhood search cannot certify it and the enumeration decides
+    # lattice lies farther than half a spacing from every line, so Babai
+    # rounding cannot certify it and the enumeration decides
     cs = scheme_m1.curves[0]
     rows = 2 * math.pi * projection_lattice_basis(cs.torus.c, cs.u).rows
     coeffs = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7) if i or j])
@@ -648,3 +648,13 @@ def test_scheme_json_roundtrip(scheme_multi, rng):
     assert abs(again.total_length - s.total_length) < 1e-9
     xs = rng.random(50)
     assert np.allclose(encode_batch(again, xs), encode_batch(s, xs), atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_scheme_rejects_non_finite_or_non_positive_alpha(scheme_multi, alpha):
+    d = scheme_multi.to_dict()
+    d["alpha"] = alpha
+    with pytest.raises(ValueError, match="alpha"):
+        SchemeCode.from_dict(d)
+    with pytest.raises(ValueError, match="alpha"):
+        build_scheme(scheme_multi.curves, alpha=alpha)

@@ -28,7 +28,7 @@ from toruscodes import (
     search_best_w,
     small_ball_bounds,
 )
-from toruscodes import curves
+from toruscodes import curves, design_layers, design_scheme, simulate
 from toruscodes.curves import _lifting_windings, default_target
 from conftest import brute_projection_shortest, random_primitive, random_torus
 
@@ -340,8 +340,9 @@ def test_search_matches_scalar_scan(n, c, log_r_min, w_max):
     torus = TorusSpec(c / np.linalg.norm(c))
     target = default_target(n)
     want = _scalar_search(target, torus, r_min, w_max)
-    # a block of 7 windows puts block boundaries inside the scanned range
-    for block in (curves._SCAN_BLOCK, 7):
+    # blocks of 7 or 2 windows split the scanned range into many ranges,
+    # each of which may be skipped
+    for block in (curves._SCAN_BLOCK, 7, 2):
         with mock.patch.object(curves, "_SCAN_BLOCK", block):
             got = search_best_w(target, torus, r_min, w_max=w_max)
         assert (got is None) == (want is None)
@@ -353,6 +354,66 @@ def test_search_matches_scalar_scan(n, c, log_r_min, w_max):
     assert us.dtype == np.int64
     for w, row in zip(range(w_max, 0, -1), us):
         assert row.tolist() == _python_winding(target, c_scaled, w)
+
+
+def _scan_norm2(torus, ws):
+    """||u_hat||^2 of windows ws as the scan of search_best_w computes it."""
+    c = torus.c
+    us = _lifting_windings(default_target(torus.dim), c / c[0], ws).astype(float)
+    norm2 = np.float_power(c[0] * us[:, 0], 2.0)
+    for i in range(1, torus.dim):
+        norm2 = norm2 + np.float_power(c[i] * us[:, i], 2.0)
+    return norm2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+    log_r_min=st.floats(-3.0, -0.3),
+    hi=st.integers(1, 20_000),
+    frac=st.floats(0.0, 0.6),
+)
+def test_range_bound_is_sound(n, c, log_r_min, hi, frac):
+    r_min = 10.0**log_r_min
+    c = np.array(c[:n])
+    torus = TorusSpec(c / np.linalg.norm(c))
+    m = n - 1
+    lo = hi - int(frac * hi)
+    floor = curves._range_norm2_floor(
+        default_target(n), torus.c / torus.c[0], torus.c, lo, hi
+    )
+    norm2 = _scan_norm2(torus, np.arange(hi, lo - 1, -1))
+    assert np.all(norm2 >= floor)
+
+    def pruned(x):
+        return _GAMMA[m] ** (m / 2.0) * (float(np.prod(torus.c)) / np.sqrt(x)) < r_min**m
+
+    # a range the bound rules out holds only windows the exact prune drops
+    if pruned(floor):
+        assert np.all(pruned(norm2))
+
+
+def test_search_skips_pruned_ranges():
+    # the scan computes the windings of few of the windows it rules out
+    logical, rows = [], []
+    search, windings = simulate.search_best_w, curves._lifting_windings
+
+    def counted_search(target, torus, r_min, w_max):
+        found = search(target, torus, r_min, w_max=w_max)
+        logical.append(w_max if found is None else w_max - found[0] + 1)
+        return found
+
+    def counted_windings(target, c, ws):
+        rows.append(len(ws))
+        return windings(target, c, ws)
+
+    with mock.patch.object(simulate, "search_best_w", counted_search), mock.patch.object(
+        curves, "_lifting_windings", counted_windings
+    ):
+        design_scheme(design_layers(4, 0.12, min_coordinate=0.06), 0.12)
+    assert len(logical) == 85
+    assert 0 < sum(rows) < 0.05 * sum(logical)
 
 
 def test_lifting_windings_exact_across_2_53_and_2_62():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toruscodes import (
     separation_rows,
     validate_codebook,
 )
+from toruscodes import layers
 
 
 def test_two_dim_codebook():
@@ -149,3 +151,29 @@ def test_validate_codebook_reports_injected_violation():
     assert list(report.violations) == [p for p in pairs if p[2] < book.min_sep - 1e-12]
     assert report.achieved_sep == min(d for _, _, d in pairs)
     assert validate_codebook(book).violations == ()
+
+
+def _greedy_one_at_a_time(n, delta, min_coordinate):
+    """Reference greedy: each candidate against every accepted layer."""
+    cands = layers._angle_grid_candidates(n, delta / 2.0)
+    cands = cands[cands.min(axis=1) > min_coordinate]
+    accepted = []
+    for cand in cands:
+        if not accepted or np.min(np.linalg.norm(np.array(accepted) - cand, axis=1)) >= 2 * delta:
+            accepted.append(cand)
+    return np.array(accepted)
+
+
+@pytest.mark.parametrize(
+    "n, delta, min_coordinate",
+    [(2, 0.01, 0.0), (3, 0.05, 0.025), (3, 0.07, 0.0), (4, 0.12, 0.06), (5, 0.2, 0.1)],
+)
+def test_block_greedy_matches_one_at_a_time(n, delta, min_coordinate):
+    want = _greedy_one_at_a_time(n, delta, min_coordinate)
+    # small blocks put block boundaries between close candidates
+    for block, pairs in ((layers._GREEDY_BLOCK, layers._GREEDY_PAIRS), (3, 40)):
+        with mock.patch.object(layers, "_GREEDY_BLOCK", block), mock.patch.object(
+            layers, "_GREEDY_PAIRS", pairs
+        ):
+            got = design_layers(n, delta, min_coordinate=min_coordinate)
+        assert np.array([t.c for t in got.layers]).tobytes() == want.tobytes()
