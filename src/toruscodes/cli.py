@@ -1,24 +1,30 @@
 """Command-line front-end: design, encode, decode, simulate, tradeoff.
 
 Text-first I/O: schemes and codebooks are JSON, results are CSV, streams
-are one value or vector per line.  Every file-producing command writes a
+are one value or vector per line.  encode and decode read stdin in blocks
+of 256 non-blank lines, make one batch codec call per block, and write and
+flush their output once per block.  Every file-producing command writes a
 manifest (parameters, seed, input/output digests) next to its output, and
 reruns with the same manifest reproduce identical bytes.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 infeasible design.
+Exit codes: 0 success, 1 usage or parse failure, 2 infeasible design.  A
+stream line that does not parse or lies outside the domain prints NA and
+sets exit 1; an undecodable (all-zero) vector prints NA but does not.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .codec import SchemeCode, decode_batch, encode
+from .codec import SOURCE_DOMAIN_ERROR, SchemeCode, decode_batch, encode_batch
 from .layers import InfeasibleSeparationError, LayerCodebook, design_layers
 from .curves import OutOfRangeError
 from .simulate import (
@@ -32,6 +38,8 @@ from .simulate import (
 )
 
 log = logging.getLogger("toruscodes")
+
+_STREAM_BLOCK = 256  # stdin lines per batch codec call of encode and decode
 
 
 class _UsageError(Exception):
@@ -104,50 +112,86 @@ def _cmd_design(args) -> int:
     return 0
 
 
+def _stdin_blocks():
+    """Non-blank stdin lines as (line number, stripped text), in lists of up
+    to _STREAM_BLOCK.  A block is handed on as soon as it is full, so a pipe
+    is served block by block."""
+    stripped = ((n, raw.strip()) for n, raw in enumerate(sys.stdin, start=1))
+    lines = ((n, text) for n, text in stripped if text)
+    while block := list(itertools.islice(lines, _STREAM_BLOCK)):
+        yield block
+
+
+def _stream(parse, convert) -> int:
+    """The stdin loop shared by encode and decode.
+
+    parse(text) turns one line into a row or raises ValueError; such a line
+    prints `NA` and its `line N:` message and makes the exit status 1.
+    convert(rows) makes one batch call on a block's valid rows and returns,
+    per row, its output line and a stderr message or None.  Output is
+    written and flushed once per block.
+    """
+    status = 0
+    for block in _stdin_blocks():
+        rows, bad = [], {}
+        for lineno, text in block:
+            try:
+                rows.append(parse(text))
+            except ValueError as exc:
+                bad[lineno] = exc
+        results = iter(convert(rows) if rows else ())
+        out, err = [], []
+        for lineno, _ in block:
+            if lineno in bad:
+                line, message = "NA", bad[lineno]
+                status = 1
+            else:
+                line, message = next(results)
+            if message is not None:
+                err.append(f"line {lineno}: {message}\n")
+            out.append(line + "\n")
+        sys.stderr.write("".join(err))
+        sys.stdout.write("".join(out))
+        sys.stdout.flush()
+    return status
+
+
 def _cmd_encode(args) -> int:
     scheme = _load_scheme(args.scheme)
-    status = 0
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            x = float(line)
-            y = encode(scheme, x)
-        except ValueError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            print("NA")
-            status = 1
-            continue
-        print(" ".join(format(v, ".17g") for v in y))
-    return status
+
+    def parse(text):
+        x = float(text)
+        if not 0.0 <= x < 1.0:  # NaN fails too
+            raise ValueError(SOURCE_DOMAIN_ERROR)
+        return x
+
+    def convert(xs):
+        ys = encode_batch(scheme, np.array(xs))
+        return [(" ".join(format(v, ".17g") for v in y), None) for y in ys.tolist()]
+
+    return _stream(parse, convert)
 
 
 def _cmd_decode(args) -> int:
     scheme = _load_scheme(args.scheme)
-    status = 0
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            y = np.array([float(tok) for tok in line.split()])
-            if y.size != 2 * scheme.dim:
-                raise ValueError(f"expected {2 * scheme.dim} coordinates, got {y.size}")
-            if not np.all(np.isfinite(y)):
-                raise ValueError("coordinates must be finite")
-        except ValueError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            print("NA")
-            status = 1
-            continue
-        x_hat, _, undec, _ = decode_batch(scheme, y[None, :])
-        if undec[0]:
-            print(f"line {lineno}: undecodable (zero magnitudes)", file=sys.stderr)
-            print("NA")
-            continue
-        print(format(float(x_hat[0]), ".17g"))
-    return status
+    width = 2 * scheme.dim
+
+    def parse(text):
+        y = [float(tok) for tok in text.split()]
+        if len(y) != width:
+            raise ValueError(f"expected {width} coordinates, got {len(y)}")
+        if not all(map(math.isfinite, y)):
+            raise ValueError("coordinates must be finite")
+        return y
+
+    def convert(ys):
+        x_hat, _, undec, _ = decode_batch(scheme, np.array(ys))
+        return [
+            ("NA", "undecodable (zero magnitudes)") if u else (format(x, ".17g"), None)
+            for x, u in zip(x_hat.tolist(), undec.tolist())
+        ]
+
+    return _stream(parse, convert)
 
 
 def _cmd_simulate(args) -> int:
@@ -191,11 +235,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--codebook", help="user-supplied layer codebook JSON")
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("encode", help="read x per line on stdin, write vectors")
+    blocks = f"stdin in blocks of {_STREAM_BLOCK} lines, output flushed per block"
+    p = sub.add_parser("encode", help=f"read x per line on stdin, write vectors ({blocks})")
     p.add_argument("-s", "--scheme", required=True)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="read vectors per line on stdin, write x")
+    p = sub.add_parser("decode", help=f"read vectors per line on stdin, write x ({blocks})")
     p.add_argument("-s", "--scheme", required=True)
     p.set_defaults(func=_cmd_decode)
 

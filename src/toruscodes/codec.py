@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# message of a source value outside [0, 1); the CLI checks it line by line
+SOURCE_DOMAIN_ERROR = "encoder input must lie in [0, 1)"
 # received rows per grid scan of decode_exhaustive_batch, bounding its
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
@@ -210,7 +212,7 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
-        raise ValueError("encoder input must lie in [0, 1)")
+        raise ValueError(SOURCE_DOMAIN_ERROR)
     ks = np.searchsorted(scheme.breakpoints, xs, side="right")
     local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], np.nextafter(1.0, 0.0))
     g = scheme._seams[ks]

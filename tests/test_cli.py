@@ -1,11 +1,16 @@
 import io
 import json
+import math
+import os
+import queue
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from toruscodes import cli, codec
 from toruscodes.cli import main
 
 
@@ -95,6 +100,112 @@ def test_decode_malformed_and_zero(scheme_file, monkeypatch, capsys):
     lines = out.strip().splitlines()
     assert lines == ["NA", "NA"]
     assert "line 1" in err and "line 2" in err
+
+
+def test_decode_zero_vector_alone_exits_0(scheme_file, monkeypatch, capsys):
+    # an undecodable vector prints NA and its message but is no parse failure
+    zero = " ".join(["0"] * 6)
+    code, out, err = run_cli(["decode", "-s", str(scheme_file)], zero + "\n", monkeypatch, capsys)
+    assert code == 0
+    assert out == "NA\n"
+    assert err == "line 1: undecodable (zero magnitudes)\n"
+
+
+def _line_by_line(lines, convert_line):
+    """What a stream command prints when each line is handled on its own:
+    (exit status, stdout, stderr)."""
+    status, out, err = 0, [], []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            line, message = convert_line(text)
+        except ValueError as exc:
+            line, message, status = "NA", str(exc), 1
+        out.append(line + "\n")
+        if message is not None:
+            err.append(f"line {lineno}: {message}\n")
+    return status, "".join(out), "".join(err)
+
+
+def _encode_line(scheme, text):
+    y = codec.encode(scheme, float(text))
+    return " ".join(format(v, ".17g") for v in y), None
+
+
+def _decode_line(scheme, text):
+    y = [float(tok) for tok in text.split()]
+    if len(y) != 2 * scheme.dim:
+        raise ValueError(f"expected {2 * scheme.dim} coordinates, got {len(y)}")
+    if not all(map(math.isfinite, y)):
+        raise ValueError("coordinates must be finite")
+    res = codec.decode(scheme, y)
+    if res.undecodable:
+        return "NA", "undecodable (zero magnitudes)"
+    return format(res.x_hat, ".17g"), None
+
+
+def test_stream_blocks_match_line_by_line(scheme_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_STREAM_BLOCK", 3)
+    scheme = cli._load_scheme(str(scheme_file))
+    # blocks of three non-blank lines: a bad line inside, one of only bad
+    # lines, blanks between edges, and a short last block
+    enc_lines = [
+        "0.1", "abc", "0.2",
+        "", "1.0", "nan", "inf",
+        "-0.0", "", "   ", "0.5", "0.999",
+        "-1e-9", "0.25", "1e-320",
+        "0.75  ", "x 1", "",
+    ]
+    expected = _line_by_line(enc_lines, lambda t: _encode_line(scheme, t))
+    argv = ["encode", "-s", str(scheme_file)]
+    assert run_cli(argv, "\n".join(enc_lines) + "\n", monkeypatch, capsys) == expected
+    assert expected[0] == 1 and expected[1].count("NA") == 6
+
+    vec = {x: _encode_line(scheme, x)[0] for x in ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6")}
+    zero = " ".join(["0"] * 6)
+    dec_lines = [
+        vec["0.1"], zero, vec["0.2"],
+        "0.1 0.2", zero, vec["0.3"],
+        "", "0 nan 0 0 0 0", "a b c d e f", "0 0 0 0 0 0 1",
+        zero, vec["0.4"], "", "inf 0 0 0 0 0",
+        vec["0.5"], vec["0.6"], zero,
+        "",
+    ]
+    expected = _line_by_line(dec_lines, lambda t: _decode_line(scheme, t))
+    argv = ["decode", "-s", str(scheme_file)]
+    assert run_cli(argv, "\n".join(dec_lines) + "\n", monkeypatch, capsys) == expected
+    assert expected[0] == 1 and expected[2].count("undecodable") == 4
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_pipe_served_block_by_block(scheme_file, command):
+    # one full block comes back while stdin is still open; a block of decode
+    # output is smaller than the pipe's write buffer, so this needs the flush
+    n = cli._STREAM_BLOCK
+    scheme = cli._load_scheme(str(scheme_file))
+    xs = [repr(i / n) for i in range(n)]
+    inputs = xs if command == "encode" else [_encode_line(scheme, x)[0] for x in xs]
+    convert = _encode_line if command == "encode" else _decode_line
+    expected = [convert(scheme, text)[0] + "\n" for text in inputs]
+    argv = [sys.executable, "-m", "toruscodes.cli", command, "-s", str(scheme_file)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    lines = queue.Queue()
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    with subprocess.Popen(argv, **pipes) as proc:
+        reader = threading.Thread(target=lambda: [lines.put(line) for line in proc.stdout])
+        reader.start()
+        try:
+            proc.stdin.write("".join(text + "\n" for text in inputs))
+            proc.stdin.flush()
+            assert [lines.get(timeout=60) for _ in range(n)] == expected
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            reader.join(timeout=60)
+    assert lines.empty()
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
