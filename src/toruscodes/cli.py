@@ -2,10 +2,11 @@
 
 Text-first I/O: schemes and codebooks are JSON, results are CSV, streams
 are one value or vector per line.  encode and decode read stdin in blocks
-of 256 non-blank lines, make one batch codec call per block, and write and
-flush their output once per block.  Every file-producing command writes a
-manifest (parameters, seed, input/output digests) next to its output, and
-reruns with the same manifest reproduce identical bytes.
+of 256 non-blank lines and write and flush their output once per block;
+encode makes one batch codec call per block, decode one per vector.
+Every file-producing command writes a manifest (parameters, seed,
+input/output digests) next to its output, and reruns with the same
+manifest reproduce identical bytes.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 infeasible design.  A
 stream line that does not parse or lies outside the domain prints NA and
@@ -39,7 +40,7 @@ from .simulate import (
 
 log = logging.getLogger("toruscodes")
 
-_STREAM_BLOCK = 256  # stdin lines per batch codec call of encode and decode
+_STREAM_BLOCK = 256  # stdin lines per block (and per encode_batch call) of encode and decode
 
 
 class _UsageError(Exception):
@@ -127,7 +128,7 @@ def _stream(parse, convert) -> int:
 
     parse(text) turns one line into a row or raises ValueError; such a line
     prints `NA` and its `line N:` message and makes the exit status 1.
-    convert(rows) makes one batch call on a block's valid rows and returns,
+    convert(rows) makes the codec calls for a block's valid rows and returns,
     per row, its output line and a stderr message or None.  Output is
     written and flushed once per block.
     """
@@ -185,11 +186,17 @@ def _cmd_decode(args) -> int:
         return y
 
     def convert(ys):
-        x_hat, _, undec, _ = decode_batch(scheme, np.array(ys))
-        return [
-            ("NA", "undecodable (zero magnitudes)") if u else (format(x, ".17g"), None)
-            for x, u in zip(x_hat.tolist(), undec.tolist())
-        ]
+        # one decode_batch call per vector: perfbench's traced stream run
+        # pins codec.decode_batch.vectors_per_call at 1 (ROADMAP open item 1)
+        ys = np.array(ys)
+        results = []
+        for i in range(len(ys)):
+            x_hat, _, undec, _ = decode_batch(scheme, ys[i : i + 1])
+            if undec[0]:
+                results.append(("NA", "undecodable (zero magnitudes)"))
+            else:
+                results.append((format(float(x_hat[0]), ".17g"), None))
+        return results
 
     return _stream(parse, convert)
 
