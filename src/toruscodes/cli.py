@@ -2,8 +2,9 @@
 
 Text-first I/O: schemes and codebooks are JSON, results are CSV, streams
 are one value or vector per line.  encode and decode read stdin in blocks
-of 256 non-blank lines and write and flush their output once per block;
-encode makes one batch codec call per block, decode one per vector.
+of up to 256 non-blank lines, ending a block early when no more input is
+waiting, and write and flush their output once per block; encode makes
+one batch codec call per block, decode one per vector.
 Every file-producing command writes a manifest (parameters, seed,
 input/output digests) next to its output, and reruns with the same
 manifest reproduce identical bytes.
@@ -15,17 +16,17 @@ sets exit 1; an undecodable (all-zero) vector prints NA but does not.
 
 import argparse
 import hashlib
-import itertools
 import json
 import logging
 import math
 import os
+import select
 import sys
 
 import numpy as np
 
 from . import __version__
-from .codec import SOURCE_DOMAIN_ERROR, SchemeCode, decode_batch, encode_batch
+from .codec import SchemeCode, check_source, decode_batch, encode_batch
 from .layers import InfeasibleSeparationError, LayerCodebook, design_layers
 from .curves import OutOfRangeError
 from .simulate import (
@@ -40,7 +41,7 @@ from .simulate import (
 
 log = logging.getLogger("toruscodes")
 
-_STREAM_BLOCK = 256  # stdin lines per block (and per encode_batch call) of encode and decode
+_STREAM_BLOCK = 256  # most stdin lines per block (and per encode_batch call) of encode and decode
 
 
 class _UsageError(Exception):
@@ -113,13 +114,28 @@ def _cmd_design(args) -> int:
     return 0
 
 
+def _input_waiting(stream) -> bool:
+    """Whether reading stream would not wait: input is pending or it is at
+    end of file.  A stream without a file descriptor never waits."""
+    try:
+        return bool(select.select([stream], [], [], 0)[0])
+    except (OSError, ValueError):  # no descriptor, or none select can poll
+        return True
+
+
 def _stdin_blocks():
     """Non-blank stdin lines as (line number, stripped text), in lists of up
-    to _STREAM_BLOCK.  A block is handed on as soon as it is full, so a pipe
-    is served block by block."""
-    stripped = ((n, raw.strip()) for n, raw in enumerate(sys.stdin, start=1))
-    lines = ((n, text) for n, text in stripped if text)
-    while block := list(itertools.islice(lines, _STREAM_BLOCK)):
+    to _STREAM_BLOCK.  A block is handed on when it is full or when no more
+    input is waiting, so a pipe is served block by block and a terminal, or
+    a producer that waits for each answer, is answered at once."""
+    block = []
+    for lineno, raw in enumerate(sys.stdin, start=1):
+        if text := raw.strip():
+            block.append((lineno, text))
+        if block and (len(block) == _STREAM_BLOCK or not _input_waiting(sys.stdin)):
+            yield block
+            block = []
+    if block:
         yield block
 
 
@@ -162,8 +178,7 @@ def _cmd_encode(args) -> int:
 
     def parse(text):
         x = float(text)
-        if not 0.0 <= x < 1.0:  # NaN fails too
-            raise ValueError(SOURCE_DOMAIN_ERROR)
+        check_source(x)
         return x
 
     def convert(xs):
@@ -242,7 +257,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--codebook", help="user-supplied layer codebook JSON")
     p.set_defaults(func=_cmd_design)
 
-    blocks = f"stdin in blocks of {_STREAM_BLOCK} lines, output flushed per block"
+    blocks = f"stdin in blocks of up to {_STREAM_BLOCK} lines, output flushed per block"
     p = sub.add_parser("encode", help=f"read x per line on stdin, write vectors ({blocks})")
     p.add_argument("-s", "--scheme", required=True)
     p.set_defaults(func=_cmd_encode)

@@ -38,6 +38,7 @@ __all__ = [
     "AmbiguousPhaseError",
     "UndecodableError",
     "build_scheme",
+    "check_source",
     "encode",
     "encode_batch",
     "extract_polar",
@@ -51,9 +52,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_BELOW_ONE = math.nextafter(1.0, 0.0)  # largest float below 1: the top of [0, 1)
-# message of a source value outside [0, 1); the CLI checks it line by line
-SOURCE_DOMAIN_ERROR = "encoder input must lie in [0, 1)"
 # received rows per grid scan of decode_exhaustive_batch, bounding its
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
@@ -210,12 +208,19 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     return SchemeCode(curves=tuple(curves), alpha=float(alpha), guard=float(guard))
 
 
-def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
+def check_source(xs) -> np.ndarray:
+    """xs as a float array, or ValueError unless every value lies in the
+    source domain [0, 1).  NaN and infinities lie outside it."""
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
-        raise ValueError(SOURCE_DOMAIN_ERROR)
+    if not ((xs >= 0.0) & (xs < 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("encoder input must lie in [0, 1)")
+    return xs
+
+
+def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
+    xs = check_source(xs)
     ks = np.searchsorted(scheme.breakpoints, xs, side="right")
-    local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], _BELOW_ONE)
+    local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], np.nextafter(1.0, 0.0))
     g = scheme._seams[ks]
     # curve_point of curve ks at parameter g/2 + (1 - g)*local, gathered
     t = g / 2.0 + (1.0 - g) * local
@@ -258,8 +263,7 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
     product; an all-zero row gets layer 0."""
-    # np.linalg.norm(gamma, axis=1) without its per-call dispatch
-    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
+    norms = np.linalg.norm(gamma, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.argmax((gamma / safe[:, None]) @ scheme._radii.T, axis=1)
 
@@ -267,8 +271,7 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
 def _box_points(c: np.ndarray, gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Box coordinates angle_i * c_i of the torus point nearest to the
     received pairs with polar data (gamma, theta); a zero pair takes angle 0."""
-    positive = gamma > 0.0
-    angles = np.where(positive, theta / np.where(positive, gamma, 1.0), 0.0)
+    angles = np.where(gamma > 0.0, theta / np.where(gamma > 0.0, gamma, 1.0), 0.0)
     return angles * c
 
 
@@ -348,7 +351,7 @@ class _LineLattices:
         f = t - z
         babai2 = np.einsum("bn,bnm,bm->b", f, self.gram[layers], f)
         nodes = 0
-        for i in (babai2 >= self.certified2[layers]).nonzero()[0]:
+        for i in np.flatnonzero(babai2 >= self.certified2[layers]):
             mu, norms2 = self.gso[layers[i]]
             bound2 = babai2[i] * (1.0 + 1e-9)
             found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), bound2)
@@ -364,7 +367,7 @@ class _LineLattices:
             # coefficients, f G f, line index, residual, position along the line
             counter.add(b * (n * m + m * m + m + m * n + 2 * n))
             counter.add(nodes * n)  # one partial norm update per enumeration node
-        return np.minimum(xs, _BELOW_ONE)
+        return np.minimum(xs, np.nextafter(1.0, 0.0))
 
 
 def decode_on_torus(cs: CurveSpec, theta, counter: OpCounter | None = None) -> float:
@@ -386,33 +389,30 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     expected = 2 * scheme.dim
     if ys.ndim != 2 or ys.shape[1] != expected:
         raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
-    if not np.isfinite(ys).all():
+    if not np.all(np.isfinite(ys)):
         raise ValueError("received vectors must be finite")
     b = ys.shape[0]
     gamma, theta, zero = _polar(ys)
-    undecodable = zero.all(axis=1)
-    fallback = zero.any(axis=1) & ~undecodable
+    undecodable = np.all(zero, axis=1)
+    fallback = np.any(zero, axis=1) & ~undecodable
 
     layers = _nearest_layers(scheme, gamma)
     if counter is not None:
         counter.add(b * (4 * scheme.dim + scheme.n_layers * scheme.dim + scheme.dim))
 
     x_hat = np.zeros(b)
-    if undecodable.any():
-        rows = (~undecodable).nonzero()[0]
-        k, gamma, theta = layers[rows], gamma[rows], theta[rows]
-    else:  # the common case: no gathers
-        rows, k = slice(None), layers
-    if k.size:
-        box = _box_points(scheme._radii[k], gamma, theta)
+    rows = np.flatnonzero(~undecodable)
+    if rows.size:
+        k = layers[rows]
+        box = _box_points(scheme._radii[k], gamma[rows], theta[rows])
         xl = scheme._line_lattices.closest_lines(k, box, counter)
         # invert the seam map; a point on the seam arc goes to the nearer end
         g = scheme._seams[k]
-        local = np.minimum(np.maximum((xl - g / 2.0) / (1.0 - g), 0.0), _BELOW_ONE)
+        local = np.clip((xl - g / 2.0) / (1.0 - g), 0.0, np.nextafter(1.0, 0.0))
         x_hat[rows] = scheme._lows[k] + local * scheme._widths[k]
         if counter is not None:
-            counter.add(k.size * (scheme.dim + 1))
-    x_hat = np.minimum(x_hat, _BELOW_ONE)
+            counter.add(rows.size * (scheme.dim + 1))
+    x_hat = np.minimum(x_hat, np.nextafter(1.0, 0.0))
     layers = np.where(undecodable, -1, layers)
     return x_hat, layers, undecodable, fallback
 
@@ -469,9 +469,9 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     out = _golden_section(
         lambda x: -np.einsum("bn,bn->b", ys, encode_batch(scheme, x)),
         np.maximum(x0 - 1.0 / grid, 0.0),
-        np.minimum(x0 + 1.0 / grid, _BELOW_ONE),
+        np.minimum(x0 + 1.0 / grid, np.nextafter(1.0, 0.0)),
     )
-    return np.minimum(out, _BELOW_ONE)
+    return np.minimum(out, np.nextafter(1.0, 0.0))
 
 
 def decode_exhaustive(scheme: SchemeCode, y, grid: int = 100_000) -> float:

@@ -179,11 +179,13 @@ def test_stream_blocks_match_line_by_line(scheme_file, monkeypatch, capsys):
     assert expected[0] == 1 and expected[2].count("undecodable") == 4
 
 
+@pytest.mark.parametrize("n", [1, cli._STREAM_BLOCK])
 @pytest.mark.parametrize("command", ["encode", "decode"])
-def test_pipe_served_block_by_block(scheme_file, command):
-    # one full block comes back while stdin is still open; a block of decode
-    # output is smaller than the pipe's write buffer, so this needs the flush
-    n = cli._STREAM_BLOCK
+def test_pipe_served_block_by_block(scheme_file, command, n):
+    # n lines come back while stdin is still open: a full block, or a single
+    # line when no more input is waiting (a producer that waits for each
+    # answer).  A block of decode output is smaller than the pipe's write
+    # buffer, so this needs the flush.
     scheme = cli._load_scheme(str(scheme_file))
     xs = [repr(i / n) for i in range(n)]
     inputs = xs if command == "encode" else [_encode_line(scheme, x)[0] for x in xs]
