@@ -21,12 +21,13 @@ import logging
 import math
 import os
 import select
+import stat
 import sys
 
 import numpy as np
 
-from . import __version__
-from .codec import SchemeCode, check_source, decode_batch, encode_batch
+from . import __version__, codec
+from .codec import SchemeCode, decode_batch
 from .layers import InfeasibleSeparationError, LayerCodebook, design_layers
 from .curves import OutOfRangeError
 from .simulate import (
@@ -114,13 +115,16 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _input_waiting(stream) -> bool:
-    """Whether reading stream would not wait: input is pending or it is at
-    end of file.  A stream without a file descriptor never waits."""
+def _may_wait(stream) -> bool:
+    """Whether a read of stream can wait for input that select can poll: a
+    pipe or a terminal on POSIX.  A regular file or a stream without a
+    descriptor never waits, and elsewhere select polls only sockets."""
+    if os.name != "posix":
+        return False
     try:
-        return bool(select.select([stream], [], [], 0)[0])
-    except (OSError, ValueError):  # no descriptor, or none select can poll
-        return True
+        return not stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (OSError, ValueError):  # no descriptor: an in-memory stream
+        return False
 
 
 def _stdin_blocks():
@@ -128,25 +132,44 @@ def _stdin_blocks():
     to _STREAM_BLOCK.  A block is handed on when it is full or when no more
     input is waiting, so a pipe is served block by block and a terminal, or
     a producer that waits for each answer, is answered at once."""
+    poll = _may_wait(sys.stdin)
     block = []
     for lineno, raw in enumerate(sys.stdin, start=1):
         if text := raw.strip():
             block.append((lineno, text))
-        if block and (len(block) == _STREAM_BLOCK or not _input_waiting(sys.stdin)):
+        if block and (
+            len(block) == _STREAM_BLOCK or poll and not select.select([sys.stdin], [], [], 0)[0]
+        ):
             yield block
             block = []
     if block:
         yield block
 
 
+def _convert(convert, rows):
+    """convert(rows), or, when it rejects them with ValueError, each row
+    converted alone, a rejected row giving its exception."""
+    try:
+        return convert(rows)
+    except ValueError:
+        pass
+    results = []
+    for row in rows:
+        try:
+            results += convert([row])
+        except ValueError as exc:
+            results.append(exc)
+    return results
+
+
 def _stream(parse, convert) -> int:
     """The stdin loop shared by encode and decode.
 
-    parse(text) turns one line into a row or raises ValueError; such a line
-    prints `NA` and its `line N:` message and makes the exit status 1.
-    convert(rows) makes the codec calls for a block's valid rows and returns,
-    per row, its output line and a stderr message or None.  Output is
-    written and flushed once per block.
+    parse(text) turns one line into a row.  convert(rows) makes the codec
+    calls for a block's parsed rows and returns, per row, its output line
+    and a stderr message or None.  A line that parse or convert rejects
+    with ValueError prints `NA` and its `line N:` message and makes the
+    exit status 1.  Output is written and flushed once per block.
     """
     status = 0
     for block in _stdin_blocks():
@@ -156,14 +179,15 @@ def _stream(parse, convert) -> int:
                 rows.append(parse(text))
             except ValueError as exc:
                 bad[lineno] = exc
-        results = iter(convert(rows) if rows else ())
+        results = iter(_convert(convert, rows) if rows else ())
         out, err = [], []
         for lineno, _ in block:
-            if lineno in bad:
-                line, message = "NA", bad[lineno]
+            result = bad[lineno] if lineno in bad else next(results)
+            if isinstance(result, ValueError):
+                line, message = "NA", result
                 status = 1
             else:
-                line, message = next(results)
+                line, message = result
             if message is not None:
                 err.append(f"line {lineno}: {message}\n")
             out.append(line + "\n")
@@ -176,16 +200,13 @@ def _stream(parse, convert) -> int:
 def _cmd_encode(args) -> int:
     scheme = _load_scheme(args.scheme)
 
-    def parse(text):
-        x = float(text)
-        check_source(x)
-        return x
-
     def convert(xs):
-        ys = encode_batch(scheme, np.array(xs))
+        # encode_batch rejects values outside [0, 1); through the module, as
+        # codec.encode calls it, so that a wrapper of codec.encode_batch sees it
+        ys = codec.encode_batch(scheme, np.array(xs))
         return [(" ".join(format(v, ".17g") for v in y), None) for y in ys.tolist()]
 
-    return _stream(parse, convert)
+    return _stream(float, convert)
 
 
 def _cmd_decode(args) -> int:

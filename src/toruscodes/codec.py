@@ -38,7 +38,6 @@ __all__ = [
     "AmbiguousPhaseError",
     "UndecodableError",
     "build_scheme",
-    "check_source",
     "encode",
     "encode_batch",
     "extract_polar",
@@ -208,17 +207,10 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     return SchemeCode(curves=tuple(curves), alpha=float(alpha), guard=float(guard))
 
 
-def check_source(xs) -> np.ndarray:
-    """xs as a float array, or ValueError unless every value lies in the
-    source domain [0, 1).  NaN and infinities lie outside it."""
-    xs = np.asarray(xs, dtype=float)
-    if not ((xs >= 0.0) & (xs < 1.0)).all():  # NaN fails both comparisons
-        raise ValueError("encoder input must lie in [0, 1)")
-    return xs
-
-
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
-    xs = check_source(xs)
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
+        raise ValueError("encoder input must lie in [0, 1)")
     ks = np.searchsorted(scheme.breakpoints, xs, side="right")
     local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], np.nextafter(1.0, 0.0))
     g = scheme._seams[ks]
