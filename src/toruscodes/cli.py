@@ -2,9 +2,10 @@
 
 Text-first I/O: schemes and codebooks are JSON, results are CSV, streams
 are one value or vector per line.  encode and decode read stdin in blocks
-of up to 256 non-blank lines, ending a block early when no more input is
-waiting, and write and flush their output once per block; encode makes
-one batch codec call per block, decode one per vector.
+of up to 256 non-blank lines, ending a block early when a pipe or
+terminal has no more input waiting, and write and flush their output once
+per block; encode makes one batch codec call per block, decode one per
+vector.
 Every file-producing command writes a manifest (parameters, seed,
 input/output digests) next to its output, and reruns with the same
 manifest reproduce identical bytes.
