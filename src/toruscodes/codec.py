@@ -6,15 +6,19 @@ seam arc: local parameter t goes to curve parameter g/2 + (1 - g)*t, where
 g = guard / length.  The curves are closed, so without that arc the two ends
 of a subinterval would meet at one ambient point and a small noise step
 across the closure would cost a whole subinterval.  The decoder first
-extracts per-pair magnitudes and phases from the received vector, picks the
-closest layer from the magnitudes (a linear scan, M*N work), then finds the
-closest line of the chosen curve's box pre-image in the wrapped flat metric.
-Those lines sit at the points of the curve's rank-(N-1) line lattice (the
-one lattices._line_lattice builds for design too), so the second stage is
-a closest-vector search in that lattice: Babai rounding, certified when the
-rounded point lies within half the shortest lattice vector, and an exact
-enumeration for the rows it cannot certify.  Its work does not depend on
-the curve length ||u||_1.  The scalar functions wrap the stages of decode_batch.
+extracts per-pair magnitudes and angles from the received vector and picks
+the closest layer from the magnitudes (a linear scan, M*N work).  It then
+finds the closest line of the chosen curve's box pre-image in the wrapped
+flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
+lattice (the one lattices._line_lattice builds for design too), so the
+second stage is a closest-vector search in that lattice: Babai rounding,
+certified when the rounded point lies within half the shortest lattice
+vector, and an exact enumeration for the rows it cannot certify.  Its work
+does not depend on the curve length ||u||_1.  The second stage reads one
+per-scheme table (_LineLattices) that takes the received angles straight to
+lattice coefficients, the position along the line, and the scheme's x; it
+is built on the first decode.  The scalar functions wrap the stages of
+decode_batch.
 """
 
 import json
@@ -51,6 +55,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
 # received rows per grid scan of decode_exhaustive_batch, bounding its
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
@@ -127,29 +132,37 @@ class SchemeCode:
         sep = min_separation([cs.torus for cs in self.curves])
         return float(min(min(cs.ball_lower for cs in self.curves), sep / 2.0))
 
+    # The per-layer arrays below are cached and read-only: run_mse's worker
+    # threads share them.
+
     @cached_property
     def _lows(self) -> np.ndarray:
         """(M,) lower end of each layer's subinterval."""
-        return np.concatenate(([0.0], self.breakpoints[:-1]))
+        return _frozen(np.concatenate(([0.0], self.breakpoints[:-1])))
 
     @cached_property
     def _widths(self) -> np.ndarray:
-        return self.breakpoints - self._lows
+        return _frozen(self.breakpoints - self._lows)
 
     @cached_property
     def _seams(self) -> np.ndarray:
         """(M,) fraction g of each curve's parameter taken by the seam arc."""
-        return self.guard / self.lengths
+        return _frozen(self.guard / self.lengths)
+
+    @cached_property
+    def _spacings(self) -> np.ndarray:
+        """(M,) the curves' line spacings, as stored."""
+        return _frozen(np.array([cs.spacing for cs in self.curves]))
 
     @cached_property
     def _radii(self) -> np.ndarray:
         """(M, N) stack of the layers' c-vectors."""
-        return np.stack([cs.torus.c for cs in self.curves])
+        return _frozen(np.stack([cs.torus.c for cs in self.curves]))
 
     @cached_property
     def _u_hats(self) -> np.ndarray:
         """(M, N) stack of the curves' directions u_hat."""
-        return np.stack([cs.u_hat for cs in self.curves])
+        return _frozen(np.stack([cs.u_hat for cs in self.curves]))
 
     @property
     def n_layers(self) -> int:
@@ -175,7 +188,7 @@ class SchemeCode:
         # built on the first decode, not at load: encode-only users and
         # empty decode streams never pay for it.  The build is
         # deterministic, so two threads racing here store equal values.
-        return _LineLattices.build(self.curves)
+        return _LineLattices.build(self.curves, self._seams, self._lows, self._widths)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemeCode":
@@ -225,16 +238,17 @@ def encode(scheme: SchemeCode, x: float) -> np.ndarray:
 
 
 def _polar(y):
-    """Magnitudes, scaled phases, and the zero-magnitude mask of y."""
+    """Magnitudes, angles in [0, 2*pi), and the zero-magnitude mask of y; a
+    zero pair takes angle 0."""
     y = np.asarray(y, dtype=float)
     even = y[..., 0::2]
     odd = y[..., 1::2]
     gamma = np.hypot(even, odd)
     ang = np.arctan2(odd, even)
-    ang = np.where(ang < 0.0, ang + _TWO_PI, ang)
+    ang[ang < 0.0] += _TWO_PI
     zero = gamma == 0.0
-    ang = np.where(zero, 0.0, ang)
-    return gamma, ang * gamma, zero
+    ang[zero] = 0.0
+    return gamma, ang, zero
 
 
 def extract_polar(y, strict: bool = True):
@@ -245,26 +259,20 @@ def extract_polar(y, strict: bool = True):
     raises; otherwise its phase falls back to 0 and the caller sees the flag
     through the zero magnitude itself.
     """
-    gamma, theta, zero = _polar(y)
+    gamma, ang, zero = _polar(y)
     if strict and np.any(zero):
         raise AmbiguousPhaseError("zero magnitude pair: phase undefined")
-    return gamma, theta
+    return gamma, ang * gamma
 
 
 def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
     product; an all-zero row gets layer 0."""
-    norms = np.linalg.norm(gamma, axis=1)
+    # np.linalg.norm's arithmetic, without its per-call dispatch
+    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
     safe = np.where(norms > 0.0, norms, 1.0)
-    return np.argmax((gamma / safe[:, None]) @ scheme._radii.T, axis=1)
-
-
-def _box_points(c: np.ndarray, gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Box coordinates angle_i * c_i of the torus point nearest to the
-    received pairs with polar data (gamma, theta); a zero pair takes angle 0."""
-    angles = np.where(gamma > 0.0, theta / np.where(gamma > 0.0, gamma, 1.0), 0.0)
-    return angles * c
+    return ((gamma / safe[:, None]) @ scheme._radii.T).argmax(axis=1)
 
 
 def nearest_layer(scheme: SchemeCode, gamma) -> int:
@@ -276,33 +284,48 @@ def nearest_layer(scheme: SchemeCode, gamma) -> int:
 
 
 def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
-    """Nearest point of the torus to y, reconstructed from its polar data."""
+    """Nearest point of the torus to y, reconstructed from its polar data; a
+    zero pair takes angle 0."""
     gamma = np.asarray(gamma, dtype=float)
-    return embed(layer, _box_points(layer.c, gamma, np.asarray(theta, dtype=float)))
+    nonzero = gamma > 0.0
+    angles = np.where(nonzero, np.asarray(theta, dtype=float) / np.where(nonzero, gamma, 1.0), 0.0)
+    return embed(layer, angles * layer.c)
 
 
 @dataclass(frozen=True, eq=False)
 class _LineLattices:
-    """Closest-line search data for a list of curves, stacked over curves.
+    """Second-stage decoder table for a list of curves, stacked over curves.
 
     Curve k's box pre-image is the set of lines {2*pi*(u_hat*x + c*n)}; the
     line n lies at lattice point z @ basis[k] of the hyperplane orthogonal to
-    u_hat, with n = z @ kernel[k] (see lattices._line_lattice).  A box point
-    p has real coefficients t = p @ coeffs[k] in that basis, so the closest
-    line is a closest-vector problem in a rank-(N-1) lattice whose cost does
-    not depend on the curve length.
+    u_hat, with n = z @ kernel[k] (see lattices._line_lattice).  Received
+    angles a give the box point p = a*c, whose projection has real
+    coefficients t = p @ coeffs[k] in that basis, so the closest line is a
+    closest-vector problem in a rank-(N-1) lattice whose cost does not
+    depend on the curve length.  The point's position along line n is
+    (p - 2*pi*c*n) @ along[k], with along = u_hat / (2*pi*||u_hat||^2).
+
+    The table works in angle space: c is folded into the constants, so
+    a @ fold[k] gives t and p @ along[k] at once, with fold[k] the columns
+    [c*coeffs[k] | c*along[k]], and the position along the line is that last
+    column minus z @ offset[k], with offset[k] = kernel[k] @ (2*pi*c*along[k]),
+    so the integer line n is never built.  Each curve's seam row
+    (g/2, 1 - g, low, width) then maps the position to the scheme's x.
+    The arrays are read-only: run_mse's worker threads share the table.
     """
 
-    kernel: np.ndarray  # (M, N-1, N) int64
+    fold: np.ndarray  # (M, N, N): angles -> (coefficients, position along the line)
+    offset: np.ndarray  # (M, N-1): position shift per lattice coefficient
     gram: np.ndarray  # (M, N-1, N-1)
-    coeffs: np.ndarray  # (M, N, N-1): box point -> coefficients of its projection
-    periods: np.ndarray  # (M, N): 2*pi*c
-    along: np.ndarray  # (M, N): u_hat / (2*pi*||u_hat||^2), box point -> x
     certified2: np.ndarray  # (M,): squared half shortest lattice vector
-    gso: tuple  # per curve (mu, norms2) lists for the enumeration fallback
+    seam: np.ndarray  # (M, 4): g/2, 1 - g, low and width of the seam map
+    gso: tuple  # per curve (mu, norms2) tuples for the enumeration fallback
 
     @classmethod
-    def build(cls, curves) -> "_LineLattices":
+    def build(cls, curves, seams, lows, widths) -> "_LineLattices":
+        """The table of curves whose subintervals of [0, 1) start at lows,
+        have the given widths, and leave the parameter fractions seams to
+        the seam arc."""
         kernel, gram, coeffs, gso, shortest = [], [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
@@ -311,63 +334,76 @@ class _LineLattices:
             gram.append(g)
             coeffs.append(np.linalg.solve(g, basis).T)
             mu, norms2 = _gram_schmidt(basis)
-            gso.append((mu.tolist(), norms2.tolist()))
+            gso.append((tuple(map(tuple, mu.tolist())), tuple(norms2.tolist())))
             # the line spacing (2*pi-scaled) from the lattice itself, not
             # from cs.spacing, which a scheme file supplies unchecked
             shortest.append(shortest_vector(LatticeBasis(basis)).norm)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
+        along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
+        fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
         return cls(
-            kernel=np.stack(kernel),
-            gram=np.stack(gram),
-            coeffs=np.stack(coeffs),
-            periods=_TWO_PI * c,
-            along=u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None],
+            fold=_frozen(fold),
+            offset=_frozen(np.einsum("kmn,kn->km", np.stack(kernel), _TWO_PI * c * along)),
+            gram=_frozen(np.stack(gram)),
             # a lattice point closer than half the shortest vector is the
             # unique closest one; the margin absorbs rounding
-            certified2=(np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9),
+            certified2=_frozen((np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9)),
+            seam=_frozen(np.stack((seams / 2.0, 1.0 - seams, lows, widths), axis=1)),
             gso=tuple(gso),
         )
 
-    def closest_lines(self, layers: np.ndarray, box: np.ndarray, counter: OpCounter | None = None):
-        """Parameter in [0, 1) of the closest line of curve layers[i] to each
-        box point box[i] (B, N), in the wrapped flat metric.
+    def locate(self, layers: np.ndarray, angles: np.ndarray):
+        """x in [0, 1) of the closest line of curve layers[i] to the received
+        angles angles[i] (B, N), in the wrapped flat metric, through the
+        seam map, and the number of enumeration nodes visited.
 
         Babai rounding of the coefficients: a rounded point closer than half
         the line spacing is the closest line.  Other rows run an exact
         enumeration seeded with the rounded point's distance.
         """
-        b, n = box.shape
-        t = np.einsum("bn,bnm->bm", box, self.coeffs[layers])
+        folded = np.einsum("bn,bnm->bm", angles, self.fold.take(layers, axis=0))
+        t = folded[:, :-1]
         z = np.rint(t)
         f = t - z
-        babai2 = np.einsum("bn,bnm,bm->b", f, self.gram[layers], f)
+        babai2 = np.einsum("bn,bnm,bm->b", f, self.gram.take(layers, axis=0), f)
         nodes = 0
-        for i in np.flatnonzero(babai2 >= self.certified2[layers]):
+        for i in (babai2 >= self.certified2.take(layers)).nonzero()[0].tolist():
             mu, norms2 = self.gso[layers[i]]
             bound2 = babai2[i] * (1.0 + 1e-9)
             found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), bound2)
             nodes += visited
             if found is not None:
                 z[i] = found
-        lines = np.einsum("bm,bmn->bn", z.astype(np.int64), self.kernel[layers])
-        resid = box - self.periods[layers] * lines
-        xs = np.einsum("bn,bn->b", resid, self.along[layers])
+        xs = folded[:, -1] - np.einsum("bm,bm->b", z, self.offset.take(layers, axis=0))
         xs -= np.floor(xs)
-        if counter is not None:
-            m = n - 1
-            # coefficients, f G f, line index, residual, position along the line
-            counter.add(b * (n * m + m * m + m + m * n + 2 * n))
-            counter.add(nodes * n)  # one partial norm update per enumeration node
-        return np.minimum(xs, np.nextafter(1.0, 0.0))
+        # invert the seam map; a point on the seam arc goes to the nearer end
+        half_g, kept, low, width = self.seam.take(layers, axis=0).T
+        local = (np.minimum(xs, _BELOW_ONE) - half_g) / kept
+        local = np.minimum(np.maximum(local, 0.0), _BELOW_ONE)
+        return np.minimum(low + local * width, _BELOW_ONE), nodes
+
+    def mults(self, rows: int, nodes: int) -> int:
+        """Multiplies of the closest-line search of `rows` rows whose
+        enumerations visited `nodes` nodes in all."""
+        n = self.fold.shape[1]
+        m = n - 1
+        # counted as the box-point formulation does the same work: the
+        # coefficients, f G f, the line index, the residual and the position
+        # along the line; one partial norm update per enumeration node
+        return rows * (n * m + m * m + m + m * n + 2 * n) + nodes * n
 
 
 def decode_on_torus(cs: CurveSpec, theta, counter: OpCounter | None = None) -> float:
     """Parameter in [0, 1) of the curve point closest to the box point theta
     in the wrapped flat metric."""
-    theta = np.asarray(theta, dtype=float)
-    lines = _LineLattices.build([cs])
-    return float(lines.closest_lines(np.zeros(1, dtype=np.int64), theta[None, :], counter)[0])
+    angles = np.asarray(theta, dtype=float) / cs.torus.c
+    # no seam arc and the whole of [0, 1): the seam map is the identity
+    lines = _LineLattices.build([cs], np.zeros(1), np.zeros(1), np.ones(1))
+    x, nodes = lines.locate(np.zeros(1, dtype=np.int64), angles[None, :])
+    if counter is not None:
+        counter.add(lines.mults(1, nodes))
+    return float(x[0])
 
 
 def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
@@ -381,32 +417,29 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     expected = 2 * scheme.dim
     if ys.ndim != 2 or ys.shape[1] != expected:
         raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         raise ValueError("received vectors must be finite")
-    b = ys.shape[0]
-    gamma, theta, zero = _polar(ys)
-    undecodable = np.all(zero, axis=1)
-    fallback = np.any(zero, axis=1) & ~undecodable
-
+    gamma, angles, zero = _polar(ys)
+    undecodable = zero.all(axis=1)
+    fallback = zero.any(axis=1) & ~undecodable
+    # every row is decoded; an undecodable row has layer 0 and zero angles,
+    # the lattice origin, and its result is masked below
     layers = _nearest_layers(scheme, gamma)
+    lines = scheme._line_lattices
+    x_hat, nodes = lines.locate(layers, angles)
     if counter is not None:
-        counter.add(b * (4 * scheme.dim + scheme.n_layers * scheme.dim + scheme.dim))
-
-    x_hat = np.zeros(b)
-    rows = np.flatnonzero(~undecodable)
-    if rows.size:
-        k = layers[rows]
-        box = _box_points(scheme._radii[k], gamma[rows], theta[rows])
-        xl = scheme._line_lattices.closest_lines(k, box, counter)
-        # invert the seam map; a point on the seam arc goes to the nearer end
-        g = scheme._seams[k]
-        local = np.clip((xl - g / 2.0) / (1.0 - g), 0.0, np.nextafter(1.0, 0.0))
-        x_hat[rows] = scheme._lows[k] + local * scheme._widths[k]
-        if counter is not None:
-            counter.add(rows.size * (scheme.dim + 1))
-    x_hat = np.minimum(x_hat, np.nextafter(1.0, 0.0))
-    layers = np.where(undecodable, -1, layers)
-    return x_hat, layers, undecodable, fallback
+        b, n = ys.shape[0], scheme.dim
+        rows = b - int(np.count_nonzero(undecodable))
+        # polar data and layer choice per row; the search and the seam map
+        # per decodable row
+        counter.add(b * (4 * n + scheme.n_layers * n + n) + rows * (n + 1))
+        counter.add(lines.mults(rows, nodes))
+    return (
+        np.where(undecodable, 0.0, x_hat),
+        np.where(undecodable, -1, layers),
+        undecodable,
+        fallback,
+    )
 
 
 def decode(scheme: SchemeCode, y, counter: OpCounter | None = None) -> DecodeResult:

@@ -275,14 +275,30 @@ def test_decode_roundtrip(scheme_m1, scheme_multi, rng):
 
 
 def test_decode_scalar_matches_batch(scheme_multi, rng):
+    # every row runs the same path, so an undecodable all-zero row and a
+    # row with one zero pair leave the others' results bit for bit as they
+    # are row by row
     s = scheme_multi
     xs = rng.random(20)
     ys = encode_batch(s, xs) + 0.01 * rng.standard_normal((20, 2 * s.dim))
-    batch_x, batch_k, _, _ = decode_batch(s, ys)
+    ys[3] = 0.0
+    ys[7, 2:4] = 0.0
+    batch = decode_batch(s, ys)
+    assert batch[2].tolist() == [i == 3 for i in range(20)]
+    assert batch[3].tolist() == [i == 7 for i in range(20)]
     for i in range(20):
         res = decode(s, ys[i])
-        assert res.x_hat == batch_x[i]
-        assert res.layer == batch_k[i]
+        assert res.x_hat == batch[0][i]
+        assert res.layer == batch[1][i]
+        assert res.undecodable == batch[2][i]
+        assert res.phase_fallback == batch[3][i]
+
+
+def test_decode_batch_empty(scheme_multi):
+    s = scheme_multi
+    out = decode_batch(s, np.empty((0, 2 * s.dim)))
+    assert [a.shape for a in out] == [(0,)] * 4
+    assert [a.dtype for a in out] == [np.float64, np.int64, np.bool_, np.bool_]
 
 
 def test_decode_small_noise_quantile(scheme_m1, rng):
@@ -488,6 +504,111 @@ def test_decode_batch_picks_closest_line_at_high_noise():
         expected[rows] = low + local * (s.breakpoints[k] - low)
     assert moved > 0  # some Babai points were not the closest
     assert np.max(np.abs(x_hat - expected)) < 1e-9
+
+
+def _reference_decode_batch(s, ys):
+    """The box-point formulation of decode_batch, row by row: extract_polar,
+    the normalised argmax over the layers, box point theta/gamma*c, then the
+    closest line of the box point, its position along the line and the seam
+    map.  Returns (x_hat, layer, undecodable, phase_fallback, mults)."""
+    from toruscodes.lattices import (
+        LatticeBasis,
+        _closest_in_ball,
+        _gram_schmidt,
+        _line_lattice,
+        shortest_vector,
+    )
+
+    n, m = s.dim, s.dim - 1
+    gamma, theta = extract_polar(ys, strict=False)
+    undecodable = np.all(gamma == 0.0, axis=1)
+    fallback = np.any(gamma == 0.0, axis=1) & ~undecodable
+    norms = np.linalg.norm(gamma, axis=1)
+    radii = np.stack([cs.torus.c for cs in s.curves])
+    layers = np.argmax((gamma / np.where(norms > 0.0, norms, 1.0)[:, None]) @ radii.T, axis=1)
+    mults = len(ys) * (4 * n + s.n_layers * n + n)
+    below_one = np.nextafter(1.0, 0.0)
+    x_hat = np.zeros(len(ys))
+    lattices = {}
+    for i in np.flatnonzero(~undecodable):
+        k = int(layers[i])
+        cs = s.curves[k]
+        if k not in lattices:
+            kernel, basis = _line_lattice(cs.torus.c, cs.u)
+            gram = basis @ basis.T
+            half = shortest_vector(LatticeBasis(basis)).norm / 2.0
+            lattices[k] = (np.array(kernel), gram, np.linalg.solve(gram, basis).T,
+                           half * half * (1.0 - 1e-9), _gram_schmidt(basis))
+        kernel, gram, coeffs, certified2, (mu, norms2) = lattices[k]
+        box = np.where(gamma[i] > 0.0, theta[i] / np.where(gamma[i] > 0.0, gamma[i], 1.0), 0.0)
+        box = box * cs.torus.c
+        t = box @ coeffs
+        z = np.rint(t)
+        babai2 = (t - z) @ gram @ (t - z)
+        if babai2 >= certified2:
+            found, _, visited = _closest_in_ball(
+                mu.tolist(), norms2.tolist(), t.tolist(), babai2 * (1.0 + 1e-9)
+            )
+            mults += visited * n
+            if found is not None:
+                z = np.array(found, dtype=float)
+        resid = box - 2 * math.pi * cs.torus.c * (z.astype(np.int64) @ kernel)
+        xl = resid @ cs.u_hat / (2 * math.pi * (cs.u_hat @ cs.u_hat))
+        xl = min(xl - math.floor(xl), below_one)
+        g = s.guard / cs.length
+        local = min(max((xl - g / 2.0) / (1.0 - g), 0.0), below_one)
+        low = s.breakpoints[k - 1] if k else 0.0
+        x_hat[i] = min(low + local * (s.breakpoints[k] - low), below_one)
+        mults += n * m + m * m + m + m * n + 2 * n + n + 1
+    return x_hat, np.where(undecodable, -1, layers), undecodable, fallback, mults
+
+
+@pytest.fixture(scope="module")
+def designed_schemes():
+    """The N=3 and N=4 schemes that design gives at delta 0.12."""
+    return {n: design_scheme(design_layers(n, 0.12, min_coordinate=0.06), 0.12) for n in (3, 4)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("noise", [0.0, 0.25, 1.0, 4.0])
+def test_decode_batch_matches_box_point_reference(designed_schemes, n, noise):
+    # decode_batch works on the received angles with the curve radii folded
+    # into its table; the box-point formulation does the same arithmetic up
+    # to float64 rounding, fixed here at 1e-15 on x_hat.  noise is sigma in
+    # units of alpha*delta.
+    s = designed_schemes[n]
+    rng = np.random.default_rng([n, int(noise * 4)])
+    ys = encode_batch(s, rng.random(400))
+    ys += noise * s.alpha * 0.12 * rng.standard_normal(ys.shape)
+    ys[:10, 2:4] = 0.0  # one zero pair
+    ys[10:20, 2:4] = -0.0  # one zero pair, whose arctan2 is pi, not 0
+    ys[20:25] = 0.0  # undecodable
+    counter = OpCounter()
+    x_hat, layer, undec, fb = decode_batch(s, ys, counter=counter)
+    ref_x, ref_layer, ref_undec, ref_fb, ref_mults = _reference_decode_batch(s, ys)
+    assert np.array_equal(layer, ref_layer)
+    assert np.array_equal(undec, ref_undec) and undec[20:25].all() and undec.sum() == 5
+    assert np.array_equal(fb, ref_fb) and fb[:20].all()
+    assert counter.mults == ref_mults
+    assert np.max(np.abs(x_hat - ref_x)) <= 1e-15
+
+
+def test_cached_scheme_arrays_are_read_only(scheme_multi):
+    # run_mse's worker threads share these; a write must fail, not race.
+    # The decoder table is built on the first decode, not at load.
+    s = SchemeCode.from_json(scheme_multi.to_json())
+    assert "_line_lattices" not in s.__dict__
+    encode(s, 0.3)
+    assert "_line_lattices" not in s.__dict__
+    decode(s, encode(s, 0.3))
+    table = s._line_lattices
+    arrays = [s._lows, s._widths, s._seams, s._spacings, s._radii, s._u_hats]
+    arrays += [table.fold, table.offset, table.gram, table.certified2, table.seam]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    mu, norms2 = table.gso[0]
+    assert isinstance(mu, tuple) and isinstance(norms2, tuple)
 
 
 @pytest.fixture(scope="module")
