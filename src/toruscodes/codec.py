@@ -388,9 +388,10 @@ class _LineLattices:
         enumerations visited `nodes` nodes in all."""
         n = self.fold.shape[1]
         m = n - 1
-        # counted as the box-point formulation does the same work: the
-        # coefficients, f G f, the line index, the residual and the position
-        # along the line; one partial norm update per enumeration node
+        # the count of the box-point formulation, whose work the table does
+        # in fewer steps: the coefficients, f G f, the line index, the
+        # residual and the position along the line; one partial norm update
+        # per enumeration node
         return rows * (n * m + m * m + m + m * n + 2 * n) + nodes * n
 
 
