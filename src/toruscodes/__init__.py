@@ -79,6 +79,7 @@ from .codec import (
 )
 from .simulate import (
     InfeasibleDesignError,
+    BLOCK,
     SimConfig,
     SimResult,
     TradeoffRow,

@@ -82,19 +82,27 @@ def _write_manifest(out_path, command, params, inputs):
     return path
 
 
-def _load_scheme(path) -> SchemeCode:
+def _load_json(path, what, load):
+    """load(data) of the JSON in file path.  A file that is not the JSON
+    form of a `what` raises ValueError naming the file, whatever part of it
+    is missing or of the wrong type."""
     with open(path) as f:
-        data = json.load(f)
-    if "scheme" in data:
-        data = data["scheme"]
-    return SchemeCode.from_dict(data)
+        text = f.read()
+    try:
+        return load(json.loads(text))
+    except (AttributeError, KeyError, IndexError, TypeError, OverflowError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid {what} file ({type(exc).__name__}: {exc})") from exc
+
+
+def _load_scheme(path) -> SchemeCode:
+    # a design output holds the scheme under "scheme"
+    return _load_json(path, "scheme", lambda d: SchemeCode.from_dict(d.get("scheme", d)))
 
 
 def _cmd_design(args) -> int:
     codebook = None
     if args.codebook:
-        with open(args.codebook) as f:
-            codebook = LayerCodebook.from_dict(json.load(f))
+        codebook = _load_json(args.codebook, "codebook", LayerCodebook.from_dict)
     else:
         codebook = design_layers(args.N, args.delta, min_coordinate=args.delta / 2.0)
     scheme = design_scheme(codebook, args.delta, alpha=args.alpha, w_max=args.w_max)
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
     except (InfeasibleSeparationError, InfeasibleDesignError, OutOfRangeError) as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

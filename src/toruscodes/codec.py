@@ -13,12 +13,13 @@ flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
 lattice (the one lattices._line_lattice builds for design too), so the
 second stage is a closest-vector search in that lattice: Babai rounding,
 certified when the rounded point lies within half the shortest lattice
-vector, and an exact enumeration for the rows it cannot certify.  Its work
-does not depend on the curve length ||u||_1.  The second stage reads one
-per-scheme table (_LineLattices) that takes the received angles straight to
-lattice coefficients, the position along the line, and the scheme's x; it
-is built on the first decode.  The scalar functions wrap the stages of
-decode_batch.
+vector (2*pi times the curve's line spacing, which each CurveSpec derives
+from its torus and winding), and an exact enumeration for the rows it
+cannot certify.  Its work does not depend on the curve length ||u||_1.
+The second stage reads one per-scheme table (_LineLattices) that takes the
+received angles straight to lattice coefficients, the position along the
+line, and the scheme's x; it is built on the first decode.  The scalar
+functions wrap the stages of decode_batch.
 """
 
 import json
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
-from .lattices import LatticeBasis, _closest_in_ball, _gram_schmidt, _line_lattice, shortest_vector
+from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice
 from .torus import TorusSpec, _embed, embed, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
@@ -151,7 +152,7 @@ class SchemeCode:
 
     @cached_property
     def _spacings(self) -> np.ndarray:
-        """(M,) the curves' line spacings, as stored."""
+        """(M,) the curves' line spacings."""
         return _frozen(np.array([cs.spacing for cs in self.curves]))
 
     @cached_property
@@ -311,6 +312,8 @@ class _LineLattices:
     column minus z @ offset[k], with offset[k] = kernel[k] @ (2*pi*c*along[k]),
     so the integer line n is never built.  Each curve's seam row
     (g/2, 1 - g, low, width) then maps the position to the scheme's x.
+    The shortest lattice vector, which bounds the Babai certificate, is
+    2*pi*cs.spacing, the spacing each curve derives from its (c, u).
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -326,7 +329,7 @@ class _LineLattices:
         """The table of curves whose subintervals of [0, 1) start at lows,
         have the given widths, and leave the parameter fractions seams to
         the seam arc."""
-        kernel, gram, coeffs, gso, shortest = [], [], [], [], []
+        kernel, gram, coeffs, gso = [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
             g = basis @ basis.T
@@ -335,11 +338,9 @@ class _LineLattices:
             coeffs.append(np.linalg.solve(g, basis).T)
             mu, norms2 = _gram_schmidt(basis)
             gso.append((tuple(map(tuple, mu.tolist())), tuple(norms2.tolist())))
-            # the line spacing (2*pi-scaled) from the lattice itself, not
-            # from cs.spacing, which a scheme file supplies unchecked
-            shortest.append(shortest_vector(LatticeBasis(basis)).norm)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
+        shortest = _TWO_PI * np.array([cs.spacing for cs in curves])
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
         fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
         return cls(
@@ -348,7 +349,7 @@ class _LineLattices:
             gram=_frozen(np.stack(gram)),
             # a lattice point closer than half the shortest vector is the
             # unique closest one; the margin absorbs rounding
-            certified2=_frozen((np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9)),
+            certified2=_frozen((shortest / 2.0) ** 2 * (1.0 - 1e-9)),
             seam=_frozen(np.stack((seams / 2.0, 1.0 - seams, lows, widths), axis=1)),
             gso=tuple(gso),
         )

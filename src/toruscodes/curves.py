@@ -21,6 +21,7 @@ only on the survivors, in descending w, until the first hit.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_OVERFLOW = 2**62  # windings hold int64 entries below this in magnitude
 
 
 class OutOfRangeError(ValueError):
@@ -62,66 +64,76 @@ class ConstructionViolatedError(RuntimeError):
     """The lifting reduction failed; indicates a bug, not bad input."""
 
 
-def _vec_gcd(u) -> int:
-    g = 0
-    for x in u:
-        g = math.gcd(g, int(abs(x)))
-    return g
-
-
-def _normalize_sign(u: np.ndarray) -> np.ndarray:
-    for x in u:
-        if x != 0:
-            return u if x > 0 else -u
-    return u
-
-
-def _as_winding(u) -> np.ndarray:
+def _as_winding(u, dim: int) -> np.ndarray:
+    """u as a primitive int64 winding of length dim, first nonzero entry
+    positive; raises PrimitivityError for anything else."""
     u = np.asarray(u)
-    if not np.all(u == np.round(u)):
+    # a Python int beyond int64 makes an object array, of kind "O"
+    if u.shape != (dim,) or u.dtype.kind not in "iuf":
+        raise PrimitivityError(f"winding vector must be {dim} integers below 2**62 in magnitude")
+    xs = u.tolist()  # a few entries: Python is faster here than numpy
+    if not all(-_OVERFLOW < x < _OVERFLOW for x in xs):
+        raise PrimitivityError("winding entries must lie below 2**62 in magnitude")
+    if not all(x == int(x) for x in xs):
         raise PrimitivityError("winding vector must be integer")
-    u = np.round(u).astype(np.int64)
-    if not np.any(u):
+    g = math.gcd(*map(int, xs))
+    if g == 0:
         raise PrimitivityError("winding vector must be nonzero")
-    if _vec_gcd(u) != 1:
-        raise PrimitivityError("winding vector must be primitive (gcd 1)")
-    return _normalize_sign(u)
+    if g != 1:
+        raise PrimitivityError(f"winding vector must be primitive (gcd 1), got gcd {g}")
+    sign = 1 if next(x for x in xs if x) > 0 else -1
+    return np.array([sign * int(x) for x in xs], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class CurveSpec:
-    """A closed winding curve on a torus plus its derived design quantities.
+    """A closed curve: a layer torus and a primitive winding u, whose first
+    nonzero entry the constructor makes positive.
 
-    spacing is the line spacing r of the box pre-image; ball_lower/ball_upper
-    bracket the small-ball radius (the largest non-self-intersecting tube
-    radius around the curve, measured as chord length in the ambient space).
+    The rest is derived on first use and cached: u_hat = c*u, the length
+    2*pi*||u_hat||, the line spacing r of the box pre-image, and
+    ball_lower/ball_upper, which bracket the small-ball radius (the largest
+    non-self-intersecting tube radius around the curve, as chord length in
+    the ambient space) and raise OutOfRangeError outside the window of
+    small_ball_bounds.
     """
 
     torus: TorusSpec
     u: np.ndarray
-    u_hat: np.ndarray
-    length: float
-    spacing: float
-    ball_lower: float
-    ball_upper: float
 
     def __post_init__(self):
-        u = _as_winding(self.u)
+        u = _as_winding(self.u, self.torus.dim)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-        # sign normalization above may flip u, so derive u_hat from it
-        u_hat = self.torus.c * u
+
+    @cached_property
+    def u_hat(self) -> np.ndarray:
+        u_hat = self.torus.c * self.u
         u_hat.flags.writeable = False
-        object.__setattr__(self, "u_hat", u_hat)
-        if abs(self.length - _TWO_PI * float(np.linalg.norm(u_hat))) > 1e-12 * self.length:
-            raise ValueError("length must equal 2*pi*||u_hat||")
-        if not (0.0 < self.ball_lower <= self.ball_upper <= 2.0):
-            raise ValueError("ball bounds must satisfy 0 < lower <= upper <= 2")
+        return u_hat
+
+    @cached_property
+    def length(self) -> float:
+        return _TWO_PI * float(np.linalg.norm(self.u_hat))
+
+    @cached_property
+    def spacing(self) -> float:
+        return line_spacing(self.torus, self.u)
+
+    @cached_property
+    def ball_lower(self) -> float:
+        return small_ball_bounds(self.torus, self.spacing)[0]
+
+    @cached_property
+    def ball_upper(self) -> float:
+        return small_ball_bounds(self.torus, self.spacing)[1]
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
+        """c and u, plus the derived values for readers of the file;
+        from_dict reads back only c and u."""
         return {
             "c": self.torus.c.tolist(),
             "u": [int(x) for x in self.u],
@@ -133,17 +145,7 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        torus = TorusSpec(np.asarray(d["c"], dtype=float))
-        u = np.asarray(d["u"], dtype=np.int64)
-        return cls(
-            torus=torus,
-            u=u,
-            u_hat=torus.c * u,
-            length=float(d["length"]),
-            spacing=float(d["spacing"]),
-            ball_lower=float(d["ball_lower"]),
-            ball_upper=float(d["ball_upper"]),
-        )
+        return cls(torus=TorusSpec(np.asarray(d["c"], dtype=float)), u=d["u"])
 
     @classmethod
     def from_json(cls, text: str) -> "CurveSpec":
@@ -151,24 +153,12 @@ class CurveSpec:
 
 
 def make_curve(torus: TorusSpec, u) -> CurveSpec:
-    """Build a CurveSpec for winding u, computing spacing and ball bounds."""
-    u = _as_winding(u)
-    return _curve_with_spacing(torus, u, line_spacing(torus, u))
-
-
-def _curve_with_spacing(torus: TorusSpec, u: np.ndarray, r: float) -> CurveSpec:
-    """make_curve for a primitive, sign-normalized winding of known spacing r."""
-    u_hat = torus.c * u
-    lower, upper = small_ball_bounds(torus, r)
-    return CurveSpec(
-        torus=torus,
-        u=u,
-        u_hat=u_hat,
-        length=_TWO_PI * float(np.linalg.norm(u_hat)),
-        spacing=r,
-        ball_lower=lower,
-        ball_upper=upper,
-    )
+    """The CurveSpec of winding u, with its spacing and ball bounds computed
+    now: raises OutOfRangeError when the spacing lies outside the window of
+    small_ball_bounds."""
+    cs = CurveSpec(torus, u)
+    cs.ball_lower
+    return cs
 
 
 def curve_point(cs: CurveSpec, x) -> np.ndarray:
@@ -219,11 +209,9 @@ def exact_small_ball_2d(torus: TorusSpec, u) -> float:
     """
     if torus.dim != 2:
         raise ValueError("exact formula only applies to 2-d tori")
-    u = _as_winding(u)
-    u_hat = torus.c * u
-    r = line_spacing(torus, u)
-    perp = np.array([-u_hat[1], u_hat[0]]) / float(np.linalg.norm(u_hat))
-    return float(intra_torus_distance(torus, math.pi * r * perp, np.zeros(2)))
+    cs = CurveSpec(torus, u)
+    perp = np.array([-cs.u_hat[1], cs.u_hat[0]]) / float(np.linalg.norm(cs.u_hat))
+    return float(intra_torus_distance(torus, math.pi * cs.spacing * perp, np.zeros(2)))
 
 
 class TargetLattice:
@@ -273,15 +261,20 @@ def fcc_target() -> TargetLattice:
     return TargetLattice([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
 
 
+# rank m -> (densest rank-m target, Hermite constant gamma_m): gamma_m is
+# lambda_1^2 / det^(2/m) of the target's lattice, the dual of its generator's
+_TARGETS = {
+    1: (integer_target(), 1.0),
+    2: (hexagonal_target(), 2.0 / math.sqrt(3.0)),
+    3: (fcc_target(), 2.0 ** (1.0 / 3.0)),
+}
+
+
 def default_target(n: int) -> TargetLattice:
     """Densest built-in target for curves on an n-dimensional torus."""
-    if n == 2:
-        return integer_target()
-    if n == 3:
-        return hexagonal_target()
-    if n == 4:
-        return fcc_target()
-    raise ValueError(f"no built-in target lattice for torus dimension {n}")
+    if n - 1 not in _TARGETS:
+        raise ValueError(f"no built-in target lattice for torus dimension {n}")
+    return _TARGETS[n - 1][0]
 
 
 def _check_lifting_args(target: TargetLattice, c, w: int) -> np.ndarray:
@@ -327,7 +320,6 @@ def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
 
 
 _EXACT_BOUND = 2.0**61  # float bound on |u| beyond which windings use Python ints
-_OVERFLOW = 2**62
 
 
 def _lifting_windings(target: TargetLattice, c: np.ndarray, ws) -> np.ndarray:
@@ -377,12 +369,11 @@ def lifting_winding(target: TargetLattice, c, w: int) -> np.ndarray:
     """
     c = _check_lifting_args(target, c, w)
     out = _checked_winding(_lifting_windings(target, c, [w])[0])
-    if _vec_gcd(out) != 1:
+    if math.gcd(*out.tolist()) != 1:
         raise ConstructionViolatedError("lifting produced a non-primitive winding")
     return out
 
 
-_HERMITE = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0)}
 _SCAN_BLOCK = 256  # widest window range search_best_w scans as one block
 _SKIP_MARGIN = 1e-9  # relative slack for rounding in the per-window norm
 
@@ -438,8 +429,8 @@ def search_best_w(
     windings and its prune are array operations, and the exact line spacing
     is computed only for the windows that survive, in descending w, until
     the first hit.  A dropped window could never be a hit, so the result is the
-    one of a scan of every window.  Where _HERMITE has no constant for the
-    rank, nothing is pruned or dropped.  Memory does not depend on w_max.
+    one of a scan of every window.  Where _TARGETS has no Hermite constant
+    for the rank, nothing is pruned or dropped.  Memory does not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.
     """
@@ -452,7 +443,7 @@ def search_best_w(
     if target.dim != m:
         raise ValueError("target dimension must be torus dimension - 1")
     c_scaled = c / c[0]
-    gamma = _HERMITE.get(m)
+    gamma = _TARGETS[m][1] if m in _TARGETS else None
     prod_c = float(np.prod(c))
 
     def pruned(norm2):
@@ -481,11 +472,11 @@ def search_best_w(
                 norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
             survivors = np.flatnonzero(~pruned(norm2))
         for k in survivors:
-            u = _checked_winding(us[k])
-            r = line_spacing(torus, u)
-            if r >= r_min:
+            cs = CurveSpec(torus, _checked_winding(us[k]))
+            if cs.spacing >= r_min:
                 try:
-                    return int(ws[k]), _curve_with_spacing(torus, u, r)
+                    cs.ball_lower
                 except OutOfRangeError:
                     continue  # spacing beyond the ball-bound window; try smaller w
+                return int(ws[k]), cs
     return None

@@ -47,20 +47,18 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One Monte Carlo run: noise level, trial count, seed, source law."""
+    """One Monte Carlo run of the uniform source: noise level, trial count,
+    seed."""
 
     sigma: float
     trials: int
     seed: int
-    source: str = "uniform"
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be finite and nonnegative")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.source != "uniform":
-            raise ValueError("only the uniform source is supported")
 
 
 @dataclass(frozen=True)

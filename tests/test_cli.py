@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -243,6 +244,61 @@ def test_simulate_requires_seed(scheme_file, capsys):
     )
     assert code == 1
     assert "seed" in capsys.readouterr().err
+
+
+def _broken_scheme(payload, case):
+    data = copy.deepcopy(payload)
+    scheme = data["scheme"]
+    curve = scheme["curves"][0]
+    if case == "no-curves":
+        del scheme["curves"]
+    elif case == "curve-without-u":
+        del curve["u"]
+    elif case == "curves-not-a-list":
+        scheme["curves"] = 5
+    elif case == "top-level-list":
+        data = [scheme]
+    elif case == "huge-u":
+        curve["u"][0] = 10**30
+    elif case == "fractional-u":
+        curve["u"][0] += 0.5
+    return data
+
+
+@pytest.mark.parametrize("command", ["encode", "decode", "simulate"])
+@pytest.mark.parametrize(
+    "case",
+    ["no-curves", "curve-without-u", "curves-not-a-list", "top-level-list", "huge-u", "fractional-u"],
+)
+def test_malformed_scheme_file_is_an_error(scheme_file, tmp_path, monkeypatch, capsys, case, command):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_broken_scheme(json.loads(scheme_file.read_text()), case)))
+    argv = [command, "-s", str(path)]
+    if command == "simulate":
+        argv += ["--sigma", "0.01", "--trials", "10", "--seed", "1"]
+    stdin = {"encode": "0.5\n", "decode": "1 0 1 0 1 0\n", "simulate": ""}[command]
+    code, out, err = run_cli(argv, stdin, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_malformed_codebook_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps({"delta": 0.15}))
+    argv = ["design", "-N", "3", "--delta", "0.15", "-o", str(tmp_path / "s.json")]
+    code = main(argv + ["--codebook", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_rejects_non_finite_sigma(scheme_file, capsys, sigma):
+    argv = ["simulate", "-s", str(scheme_file), "--sigma", sigma, "--trials", "10", "--seed", "1"]
+    assert main(argv) == 1
+    assert "sigma must be finite" in capsys.readouterr().err
 
 
 def test_tradeoff_csv_and_rerun_identical(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -26,6 +27,7 @@ from toruscodes import (
     make_curve,
     projection_lattice_basis,
     search_best_w,
+    shortest_vector,
     small_ball_bounds,
 )
 from toruscodes import curves, design_layers, design_scheme, simulate
@@ -133,6 +135,44 @@ def test_curvespec_normalization_and_json():
         make_curve(t, [2, 4, 6])
     with pytest.raises(PrimitivityError):
         make_curve(t, [0, 0, 0])
+
+
+def test_curvespec_is_torus_and_winding():
+    assert [f.name for f in dataclasses.fields(CurveSpec)] == ["torus", "u"]
+
+
+def test_curvespec_derives_beyond_ball_window():
+    # spacing 0.8 > c_min = 0.6: the curve and its spacing exist, its ball
+    # bounds do not
+    t = TorusSpec(np.array([0.6, 0.8]))
+    cs = CurveSpec(t, [1, 0])
+    assert cs.length == 2.0 * math.pi * 0.6
+    assert abs(cs.spacing - 0.8) < 1e-12
+    with pytest.raises(OutOfRangeError):
+        cs.ball_lower
+    with pytest.raises(OutOfRangeError):
+        make_curve(t, [1, 0])
+
+
+def test_curvespec_from_dict_reads_only_c_and_u():
+    d = make_curve(central_torus(3), [1, 2, 3]).to_dict()
+    bare = {"c": d["c"], "u": d["u"]}
+    wrong = dict(d, length=1.0, spacing=0.5, ball_lower=2.0, ball_upper=-1.0)
+    for item in (bare, wrong):
+        assert CurveSpec.from_dict(item).to_dict() == d
+    for u in ([1.5, 2, 3], [10**30, 1, 1], [1, 2], [1, 2, "3"]):
+        with pytest.raises(PrimitivityError):
+            CurveSpec.from_dict(dict(d, u=u))
+
+
+@pytest.mark.parametrize("m", sorted(curves._TARGETS))
+def test_target_table_hermite_constants(m):
+    # the table's gamma_m is the Hermite invariant of its target's lattice
+    target, gamma = curves._TARGETS[m]
+    assert target.dim == m and default_target(m + 1) is target
+    lattice = dual_basis(LatticeBasis(target.dual_generator))
+    lam = shortest_vector(lattice).norm
+    assert abs(lam**2 / lattice.det() ** (2.0 / m) - gamma) <= 1e-12
 
 
 def test_target_validation():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from toruscodes import (
     LayerCodebook,
+    SchemeCode,
     SimConfig,
     TorusSpec,
     awgn,
@@ -84,8 +86,35 @@ def test_config_validation():
         SimConfig(sigma=-0.1, trials=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(sigma=0.1, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(sigma=0.1, trials=10, seed=1, source="gaussian")
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        SimConfig(sigma=sigma, trials=10, seed=1)
+
+
+def test_scheme_file_derived_keys_are_not_read(scheme):
+    # a curve is (c, u): length, spacing and the ball bounds in a scheme
+    # file are written for readers and derived again on load
+    clean = scheme.to_dict()
+    derived = ("length", "spacing", "ball_lower", "ball_upper")
+    missing, wrong = copy.deepcopy(clean), copy.deepcopy(clean)
+    for item in missing["curves"]:
+        for key in derived:
+            del item[key]
+    for item in wrong["curves"]:
+        item.update(length=1.0, spacing=0.9, ball_lower=1.5, ball_upper=0.1)
+    ref = SchemeCode.from_dict(clean)
+    config = SimConfig(sigma=scheme.alpha * 0.15, trials=5000, seed=8)
+    expected = run_mse(ref, config)
+    assert expected.anomaly_rate > 0.0
+    for d in (missing, wrong):
+        loaded = SchemeCode.from_dict(d)
+        assert loaded.to_dict() == clean
+        assert np.array_equal(loaded._spacings, ref._spacings)
+        assert loaded.ball_radius == ref.ball_radius
+        assert run_mse(loaded, config) == expected
 
 
 def test_run_mse_noiseless(scheme):
