@@ -42,6 +42,7 @@ from .curves import (
     curve_point,
     line_spacing,
     small_ball_bounds,
+    ball_radius_to_spacing,
     exact_small_ball_2d,
     hexagonal_target,
     integer_target,
@@ -87,7 +88,6 @@ from .simulate import (
     block_rng,
     run_mse,
     estimate_small_ball,
-    ball_radius_to_spacing,
     design_scheme,
     tradeoff_table,
     format_tradeoff_csv,

@@ -16,10 +16,10 @@ certified when the rounded point lies within half the shortest lattice
 vector (2*pi times the curve's line spacing, which each CurveSpec derives
 from its torus and winding), and an exact enumeration for the rows it
 cannot certify.  Its work does not depend on the curve length ||u||_1.
-The second stage reads one per-scheme table (_LineLattices) that takes the
-received angles straight to lattice coefficients, the position along the
-line, and the scheme's x; it is built on the first decode.  The scalar
-functions wrap the stages of decode_batch.
+The second stage reads one per-scheme table (_LineLattices), built on the
+first decode, that takes the received angles straight to lattice
+coefficients and the curve parameter; SchemeCode's arc map takes that back
+to x.  The scalar functions wrap the stages of decode_batch.
 """
 
 import json
@@ -91,10 +91,11 @@ class SchemeCode:
 
     Everything else is derived from these three fields: the curve lengths,
     the breakpoints of the interval partition (proportional to length), the
-    per-layer arrays the encoder and decoder gather from, and ball_radius,
-    the protection radius of the whole locus: the smallest curve small-ball
-    lower bound, capped at half the achieved layer separation (a single
-    curve is only protected as far as the neighboring layers allow).
+    arc map between x and (layer, curve parameter), the per-layer stacks the
+    codec gathers from, and ball_radius, the protection radius of the whole
+    locus: the smallest curve small-ball lower bound, capped at half the
+    achieved layer separation (a single curve is only protected as far as
+    the neighboring layers allow).
     """
 
     curves: tuple
@@ -137,18 +138,12 @@ class SchemeCode:
     # threads share them.
 
     @cached_property
-    def _lows(self) -> np.ndarray:
-        """(M,) lower end of each layer's subinterval."""
-        return _frozen(np.concatenate(([0.0], self.breakpoints[:-1])))
-
-    @cached_property
-    def _widths(self) -> np.ndarray:
-        return _frozen(self.breakpoints - self._lows)
-
-    @cached_property
-    def _seams(self) -> np.ndarray:
-        """(M,) fraction g of each curve's parameter taken by the seam arc."""
-        return _frozen(self.guard / self.lengths)
+    def _arcs(self) -> np.ndarray:
+        """(M, 4) low end and width of each layer's subinterval of [0, 1), then
+        g/2 and 1 - g, g = guard / length being the seam arc's parameter share."""
+        lows = np.concatenate(([0.0], self.breakpoints[:-1]))
+        g = self.guard / self.lengths
+        return _frozen(np.stack((lows, self.breakpoints - lows, g / 2.0, 1.0 - g), axis=1))
 
     @cached_property
     def _spacings(self) -> np.ndarray:
@@ -164,6 +159,25 @@ class SchemeCode:
     def _u_hats(self) -> np.ndarray:
         """(M, N) stack of the curves' directions u_hat."""
         return _frozen(np.stack([cs.u_hat for cs in self.curves]))
+
+    def _layers_of(self, xs: np.ndarray) -> np.ndarray:
+        """Layer whose subinterval of [0, 1) holds each x."""
+        return np.searchsorted(self.breakpoints, xs, side="right")
+
+    def _to_curve(self, xs: np.ndarray):
+        """Forward arc map: the layer of each x in [0, 1), of any shape, and its
+        curve parameter g/2 + (1 - g)*local, local being x's place in its layer."""
+        layers = self._layers_of(xs)
+        low, width, half_g, kept = np.moveaxis(self._arcs.take(layers, axis=0), -1, 0)
+        local = np.minimum((xs - low) / width, _BELOW_ONE)
+        return layers, half_g + kept * local
+
+    def _from_curve(self, layers: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Inverse arc map: x in [0, 1) of curve parameter t on the given
+        layers; a point on the seam arc goes to the nearer end of its layer."""
+        low, width, half_g, kept = self._arcs.take(layers, axis=0).T
+        local = np.minimum(np.maximum((t - half_g) / kept, 0.0), _BELOW_ONE)
+        return np.minimum(low + local * width, _BELOW_ONE)
 
     @property
     def n_layers(self) -> int:
@@ -189,7 +203,7 @@ class SchemeCode:
         # built on the first decode, not at load: encode-only users and
         # empty decode streams never pay for it.  The build is
         # deterministic, so two threads racing here store equal values.
-        return _LineLattices.build(self.curves, self._seams, self._lows, self._widths)
+        return _LineLattices.build(self.curves)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemeCode":
@@ -225,11 +239,8 @@ def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
         raise ValueError("encoder input must lie in [0, 1)")
-    ks = np.searchsorted(scheme.breakpoints, xs, side="right")
-    local = np.minimum((xs - scheme._lows[ks]) / scheme._widths[ks], np.nextafter(1.0, 0.0))
-    g = scheme._seams[ks]
-    # curve_point of curve ks at parameter g/2 + (1 - g)*local, gathered
-    t = g / 2.0 + (1.0 - g) * local
+    ks, t = scheme._to_curve(xs)
+    # curve_point of curve ks at parameter t, gathered
     return scheme.alpha * _embed(scheme._radii[ks], _TWO_PI * t[..., None] * scheme._u_hats[ks])
 
 
@@ -295,7 +306,7 @@ def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _LineLattices:
-    """Second-stage decoder table for a list of curves, stacked over curves.
+    """Closest-line table for a list of curves, stacked over curves.
 
     Curve k's box pre-image is the set of lines {2*pi*(u_hat*x + c*n)}; the
     line n lies at lattice point z @ basis[k] of the hyperplane orthogonal to
@@ -310,10 +321,10 @@ class _LineLattices:
     a @ fold[k] gives t and p @ along[k] at once, with fold[k] the columns
     [c*coeffs[k] | c*along[k]], and the position along the line is that last
     column minus z @ offset[k], with offset[k] = kernel[k] @ (2*pi*c*along[k]),
-    so the integer line n is never built.  Each curve's seam row
-    (g/2, 1 - g, low, width) then maps the position to the scheme's x.
-    The shortest lattice vector, which bounds the Babai certificate, is
-    2*pi*cs.spacing, the spacing each curve derives from its (c, u).
+    so the integer line n is never built; taken modulo 1, it is the curve
+    parameter, which the scheme's arc map takes to x.  The shortest lattice
+    vector, which bounds the Babai certificate, is 2*pi*cs.spacing, the
+    spacing each curve derives from its (c, u).
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -321,14 +332,10 @@ class _LineLattices:
     offset: np.ndarray  # (M, N-1): position shift per lattice coefficient
     gram: np.ndarray  # (M, N-1, N-1)
     certified2: np.ndarray  # (M,): squared half shortest lattice vector
-    seam: np.ndarray  # (M, 4): g/2, 1 - g, low and width of the seam map
     gso: tuple  # per curve (mu, norms2) tuples for the enumeration fallback
 
     @classmethod
-    def build(cls, curves, seams, lows, widths) -> "_LineLattices":
-        """The table of curves whose subintervals of [0, 1) start at lows,
-        have the given widths, and leave the parameter fractions seams to
-        the seam arc."""
+    def build(cls, curves) -> "_LineLattices":
         kernel, gram, coeffs, gso = [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
@@ -350,14 +357,13 @@ class _LineLattices:
             # a lattice point closer than half the shortest vector is the
             # unique closest one; the margin absorbs rounding
             certified2=_frozen((shortest / 2.0) ** 2 * (1.0 - 1e-9)),
-            seam=_frozen(np.stack((seams / 2.0, 1.0 - seams, lows, widths), axis=1)),
             gso=tuple(gso),
         )
 
     def locate(self, layers: np.ndarray, angles: np.ndarray):
-        """x in [0, 1) of the closest line of curve layers[i] to the received
-        angles angles[i] (B, N), in the wrapped flat metric, through the
-        seam map, and the number of enumeration nodes visited.
+        """Curve parameter in [0, 1) of the closest line of curve layers[i]
+        to the received angles angles[i] (B, N), in the wrapped flat metric,
+        and the number of enumeration nodes visited.
 
         Babai rounding of the coefficients: a rounded point closer than half
         the line spacing is the closest line.  Other rows run an exact
@@ -376,13 +382,9 @@ class _LineLattices:
             nodes += visited
             if found is not None:
                 z[i] = found
-        xs = folded[:, -1] - np.einsum("bm,bm->b", z, self.offset.take(layers, axis=0))
-        xs -= np.floor(xs)
-        # invert the seam map; a point on the seam arc goes to the nearer end
-        half_g, kept, low, width = self.seam.take(layers, axis=0).T
-        local = (np.minimum(xs, _BELOW_ONE) - half_g) / kept
-        local = np.minimum(np.maximum(local, 0.0), _BELOW_ONE)
-        return np.minimum(low + local * width, _BELOW_ONE), nodes
+        t = folded[:, -1] - np.einsum("bm,bm->b", z, self.offset.take(layers, axis=0))
+        t -= np.floor(t)
+        return np.minimum(t, _BELOW_ONE), nodes
 
     def mults(self, rows: int, nodes: int) -> int:
         """Multiplies of the closest-line search of `rows` rows whose
@@ -400,12 +402,11 @@ def decode_on_torus(cs: CurveSpec, theta, counter: OpCounter | None = None) -> f
     """Parameter in [0, 1) of the curve point closest to the box point theta
     in the wrapped flat metric."""
     angles = np.asarray(theta, dtype=float) / cs.torus.c
-    # no seam arc and the whole of [0, 1): the seam map is the identity
-    lines = _LineLattices.build([cs], np.zeros(1), np.zeros(1), np.ones(1))
-    x, nodes = lines.locate(np.zeros(1, dtype=np.int64), angles[None, :])
+    lines = _LineLattices.build([cs])
+    t, nodes = lines.locate(np.zeros(1, dtype=np.int64), angles[None, :])
     if counter is not None:
         counter.add(lines.mults(1, nodes))
-    return float(x[0])
+    return float(t[0])
 
 
 def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
@@ -428,12 +429,13 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     # the lattice origin, and its result is masked below
     layers = _nearest_layers(scheme, gamma)
     lines = scheme._line_lattices
-    x_hat, nodes = lines.locate(layers, angles)
+    t, nodes = lines.locate(layers, angles)
+    x_hat = scheme._from_curve(layers, t)
     if counter is not None:
         b, n = ys.shape[0], scheme.dim
         rows = b - int(np.count_nonzero(undecodable))
-        # polar data and layer choice per row; the search and the seam map
-        # per decodable row
+        # polar data and layer choice per row; the search and the inverse arc
+        # map per decodable row
         counter.add(b * (4 * n + scheme.n_layers * n + n) + rows * (n + 1))
         counter.add(lines.mults(rows, nodes))
     return (
@@ -496,9 +498,9 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     out = _golden_section(
         lambda x: -np.einsum("bn,bn->b", ys, encode_batch(scheme, x)),
         np.maximum(x0 - 1.0 / grid, 0.0),
-        np.minimum(x0 + 1.0 / grid, np.nextafter(1.0, 0.0)),
+        np.minimum(x0 + 1.0 / grid, _BELOW_ONE),
     )
-    return np.minimum(out, np.nextafter(1.0, 0.0))
+    return np.minimum(out, _BELOW_ONE)
 
 
 def decode_exhaustive(scheme: SchemeCode, y, grid: int = 100_000) -> float:

@@ -26,8 +26,10 @@ from functools import cached_property
 import numpy as np
 
 from .lattices import (
+    _OVERFLOW,
     LatticeBasis,
     PrimitivityError,
+    _primitive_entries,
     projection_lattice_basis,
     shortest_vector,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "curve_point",
     "line_spacing",
     "small_ball_bounds",
+    "ball_radius_to_spacing",
     "exact_small_ball_2d",
     "hexagonal_target",
     "integer_target",
@@ -53,7 +56,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_OVERFLOW = 2**62  # windings hold int64 entries below this in magnitude
 
 
 class OutOfRangeError(ValueError):
@@ -62,27 +64,6 @@ class OutOfRangeError(ValueError):
 
 class ConstructionViolatedError(RuntimeError):
     """The lifting reduction failed; indicates a bug, not bad input."""
-
-
-def _as_winding(u, dim: int) -> np.ndarray:
-    """u as a primitive int64 winding of length dim, first nonzero entry
-    positive; raises PrimitivityError for anything else."""
-    u = np.asarray(u)
-    # a Python int beyond int64 makes an object array, of kind "O"
-    if u.shape != (dim,) or u.dtype.kind not in "iuf":
-        raise PrimitivityError(f"winding vector must be {dim} integers below 2**62 in magnitude")
-    xs = u.tolist()  # a few entries: Python is faster here than numpy
-    if not all(-_OVERFLOW < x < _OVERFLOW for x in xs):
-        raise PrimitivityError("winding entries must lie below 2**62 in magnitude")
-    if not all(x == int(x) for x in xs):
-        raise PrimitivityError("winding vector must be integer")
-    g = math.gcd(*map(int, xs))
-    if g == 0:
-        raise PrimitivityError("winding vector must be nonzero")
-    if g != 1:
-        raise PrimitivityError(f"winding vector must be primitive (gcd 1), got gcd {g}")
-    sign = 1 if next(x for x in xs if x) > 0 else -1
-    return np.array([sign * int(x) for x in xs], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +83,9 @@ class CurveSpec:
     u: np.ndarray
 
     def __post_init__(self):
-        u = _as_winding(self.u, self.torus.dim)
+        xs = _primitive_entries(self.u, self.torus.dim)
+        sign = 1 if next(x for x in xs if x) > 0 else -1
+        u = np.array([sign * x for x in xs], dtype=np.int64)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
 
@@ -197,6 +180,20 @@ def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:
     lower = 2.0 * c_min * math.sin(math.pi * r / (2.0 * c_min))
     upper = 2.0 * math.sin(math.pi * r / 2.0)
     return lower, upper
+
+
+def ball_radius_to_spacing(torus: TorusSpec, delta: float) -> float | None:
+    """Invert the small-ball lower bound: smallest spacing giving radius delta.
+
+    Returns None when the torus cannot host such a curve (its smallest
+    coordinate radius saturates below delta).
+    """
+    c_min = torus.c_min
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if delta >= 2.0 * c_min:
+        return None
+    return (2.0 * c_min / math.pi) * math.asin(delta / (2.0 * c_min))
 
 
 def exact_small_ball_2d(torus: TorusSpec, u) -> float:

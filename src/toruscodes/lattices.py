@@ -50,6 +50,7 @@ class UnsupportedRankError(ValueError):
 
 
 _MAX_RANK = 8
+_OVERFLOW = 2**62  # integer vectors hold int64 entries below this in magnitude
 
 
 class LatticeBasis:
@@ -284,11 +285,33 @@ def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
     return kernel, 2.0 * math.pi * np.array(basis)
 
 
+def _primitive_entries(u, dim: int, zero_error: type = PrimitivityError) -> list:
+    """The dim entries of the winding u as Python ints; raises
+    PrimitivityError unless they are numbers (not booleans or strings),
+    integers below 2**62 in magnitude and primitive, zero_error if all zero."""
+    u = np.asarray(u)
+    # a Python int beyond int64 makes an object array, of kind "O"
+    if u.shape != (dim,) or u.dtype.kind not in "iuf":
+        raise PrimitivityError(f"winding vector must be {dim} integers below 2**62 in magnitude")
+    xs = u.tolist()  # a few entries: Python is faster here than numpy
+    if not all(-_OVERFLOW < x < _OVERFLOW for x in xs):
+        raise PrimitivityError("winding entries must lie below 2**62 in magnitude")
+    if not all(x == int(x) for x in xs):
+        raise PrimitivityError("winding vector must be integer")
+    xs = [int(x) for x in xs]
+    g = math.gcd(*xs)
+    if g == 0:
+        raise zero_error("winding vector must be nonzero")
+    if g != 1:
+        raise PrimitivityError(f"winding vector must be primitive (gcd 1), got gcd {g}")
+    return xs
+
+
 def projection_lattice_basis(c, u) -> LatticeBasis:
     """Basis of the projection of the rectangular lattice diag(c)*Z^N onto
     the hyperplane orthogonal to u_hat = (c_1 u_1, ..., c_N u_N).
 
-    u must be a primitive integer vector (gcd of entries 1); then the
+    u must be a primitive integer vector, taken with its sign; then the
     projection is itself a rank-(N-1) lattice, the lattice of lines of the
     curve with winding u, and its rows come from _line_lattice scaled by
     1/(2*pi).  Rows are returned embedded in R^N, each orthogonal to u_hat,
@@ -297,19 +320,7 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or not np.all(c > 0.0):
         raise ValueError("c must have strictly positive entries")
-    u = np.asarray(u)
-    if u.shape != c.shape:
-        raise ValueError("u and c must have the same length")
-    if not np.all(u == np.round(u)):
-        raise PrimitivityError("u must have integer entries")
-    u = np.array([int(x) for x in np.round(u)], dtype=np.int64)
-    if not np.any(u):
-        raise InvalidDirectionError("u must be nonzero")
-    g = 0
-    for x in u:
-        g = math.gcd(g, int(abs(x)))
-    if g != 1:
-        raise PrimitivityError(f"u must be primitive (gcd 1), got gcd {g}")
+    u = np.array(_primitive_entries(u, c.size, zero_error=InvalidDirectionError), dtype=np.int64)
     if c.size < 2:
         raise ValueError("need ambient dimension >= 2")
     return LatticeBasis(_line_lattice(c, u)[1] / (2.0 * math.pi))

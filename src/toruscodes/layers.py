@@ -52,6 +52,8 @@ class LayerCodebook:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValueError("codebook needs at least one layer")
+        if not (math.isfinite(self.min_sep) and self.min_sep >= 0.0):
+            raise ValueError("separation min_sep must be finite and nonnegative")
         if self.achieved_sep < self.min_sep - 1e-12:
             raise ValueError(
                 f"achieved separation {self.achieved_sep} below target {self.min_sep}"

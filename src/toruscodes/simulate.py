@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
-from .curves import CurveSpec, default_target, search_best_w
+from .curves import CurveSpec, ball_radius_to_spacing, default_target, search_best_w
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
 from .torus import TorusSpec, intra_torus_distance
@@ -29,7 +29,6 @@ __all__ = [
     "block_rng",
     "run_mse",
     "estimate_small_ball",
-    "ball_radius_to_spacing",
     "design_scheme",
     "tradeoff_table",
     "format_tradeoff_csv",
@@ -80,8 +79,8 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 
 def awgn(point, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add iid zero-mean Gaussian noise, standard deviation sigma per coordinate."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
     point = np.asarray(point, dtype=float)
     if sigma == 0.0:
         return point + 0.0
@@ -96,7 +95,7 @@ def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb:
     x_hat, layers, undec, _ = decode_batch(scheme, ys)
 
     err = x_hat - xs
-    true_layers = np.searchsorted(scheme.breakpoints, xs, side="right")
+    true_layers = scheme._layers_of(xs)
     spacing = scheme._spacings[true_layers]
     # wrong-fold heuristic: scaled parameter error beyond the noise ball plus
     # half a line spacing means the decoder left the correct fold
@@ -120,6 +119,8 @@ def run_mse(scheme: SchemeCode, config: SimConfig, workers: int = 1) -> SimResul
     Deterministic given (scheme, config), independent of workers: trials are
     split into fixed blocks with per-block streams and merged in block order.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     n = config.trials
     blocks = [(b, min(BLOCK, n - b * BLOCK)) for b in range((n + BLOCK - 1) // BLOCK)]
     if workers > 1:
@@ -227,20 +228,6 @@ def estimate_small_ball(cs: CurveSpec, samples: int = 200_000) -> float:
             "the winding is too small for a fold-limited radius"
         )
     return best
-
-
-def ball_radius_to_spacing(torus: TorusSpec, delta: float) -> float | None:
-    """Invert the small-ball lower bound: smallest spacing giving radius delta.
-
-    Returns None when the torus cannot host such a curve (its smallest
-    coordinate radius saturates below delta).
-    """
-    c_min = torus.c_min
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if delta >= 2.0 * c_min:
-        return None
-    return (2.0 * c_min / math.pi) * math.asin(delta / (2.0 * c_min))
 
 
 def design_scheme(

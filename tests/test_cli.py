@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from toruscodes import cli, codec
+from toruscodes import cli, codec, design_layers
 from toruscodes.cli import main
 
 
@@ -292,6 +292,32 @@ def test_malformed_codebook_file_is_an_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_design_rejects_nan_codebook_delta(tmp_path, capsys):
+    # json writes and reads NaN, which is not valid JSON for other readers
+    book = design_layers(2, 0.25).to_dict()
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps(dict(book, delta=float("nan"))))
+    out = tmp_path / "s.json"
+    argv = ["design", "-N", "2", "--delta", "0.25", "-o", str(out), "--codebook", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_worker(scheme_file, capsys, workers):
+    argv = ["simulate", "-s", str(scheme_file), "--sigma", "0.01", "--trials", "10", "--seed", "1"]
+    code = main(argv + ["--workers", workers])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: ") and "workers" in err
+    # simulate writes its result to stdout only
+    assert "Traceback" not in err and out == ""
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -34,6 +36,7 @@ from toruscodes import (
     reduce_to_box,
     search_best_w,
 )
+from toruscodes.codec import _LineLattices
 from toruscodes.curves import OutOfRangeError
 
 SQ3 = math.sqrt(3.0)
@@ -602,13 +605,37 @@ def test_cached_scheme_arrays_are_read_only(scheme_multi):
     assert "_line_lattices" not in s.__dict__
     decode(s, encode(s, 0.3))
     table = s._line_lattices
-    arrays = [s._lows, s._widths, s._seams, s._spacings, s._radii, s._u_hats]
-    arrays += [table.fold, table.offset, table.gram, table.certified2, table.seam]
+    arrays = [s._arcs, s._spacings, s._radii, s._u_hats]
+    arrays += [table.fold, table.offset, table.gram, table.certified2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     mu, norms2 = table.gso[0]
     assert isinstance(mu, tuple) and isinstance(norms2, tuple)
+
+
+def test_line_lattices_is_a_closest_line_table(scheme_multi):
+    # the arc map between x and the curves belongs to the scheme alone
+    assert "seam" not in [f.name for f in dataclasses.fields(_LineLattices)]
+    assert list(inspect.signature(_LineLattices.build).parameters) == ["curves"]
+    # the arc table is built on first use, not at load
+    assert "_arcs" not in SchemeCode.from_json(scheme_multi.to_json()).__dict__
+
+
+@pytest.mark.parametrize("guard", [0.24, 0.0])
+def test_inverse_arc_map_undoes_forward_map(scheme_multi, rng, guard):
+    s = build_scheme(scheme_multi.curves, alpha=scheme_multi.alpha, guard=guard)
+    assert s.n_layers > 1
+    xs = rng.random(20_000)
+    layers, t = s._to_curve(xs)
+    assert np.array_equal(layers, s._layers_of(xs))
+    assert np.abs(s._from_curve(layers, t) - xs).max() <= 2.2e-16
+    # the ends of the kept arc go to the ends of each subinterval
+    ks = np.arange(s.n_layers)
+    g = s.guard / s.lengths
+    lows = np.concatenate(([0.0], s.breakpoints[:-1]))
+    assert np.array_equal(s._from_curve(ks, g / 2.0), lows)
+    assert np.abs(s._from_curve(ks, 1.0 - g / 2.0) - s.breakpoints).max() <= 2.2e-16
 
 
 @pytest.fixture(scope="module")

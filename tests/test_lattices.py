@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from toruscodes import (
+    CurveSpec,
     DegenerateBasisError,
     InvalidDirectionError,
     LatticeBasis,
     PrimitivityError,
+    TorusSpec,
     UnsupportedRankError,
     dual_basis,
     packing_density,
@@ -162,6 +164,15 @@ def test_projection_lattice_errors():
         projection_lattice_basis(np.ones(2), np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         projection_lattice_basis(np.array([1.0, -1.0]), np.array([1, 0]))
+
+
+@pytest.mark.parametrize("u", [(10**30, 1), (2**63, 1), ("1", "2"), (True, False)])
+def test_winding_entry_check_is_shared(u):
+    # both entry points refuse what is not a vector of int64-sized integers
+    with pytest.raises(PrimitivityError):
+        projection_lattice_basis(np.ones(2), u)
+    with pytest.raises(PrimitivityError):
+        CurveSpec(TorusSpec(np.ones(2) / math.sqrt(2.0)), u)
 
 
 def test_shortest_vector_examples():

@@ -107,6 +107,15 @@ def test_json_roundtrip():
         assert a == b
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1])
+def test_codebook_rejects_non_finite_or_negative_delta(delta):
+    d = design_layers(2, 0.25).to_dict()
+    with pytest.raises(ValueError, match="min_sep"):
+        LayerCodebook.from_dict(dict(d, delta=delta))
+    # zero stays legal: the single-torus baseline has no separation to keep
+    assert LayerCodebook.from_dict(dict(d, delta=0.0)).min_sep == 0.0
+
+
 def test_user_codebook_rejects_bad_separation():
     a = TorusSpec(np.array([0.6, 0.8]))
     b = TorusSpec(np.array([0.61, math.sqrt(1 - 0.61**2)]))

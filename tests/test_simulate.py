@@ -44,6 +44,12 @@ def test_awgn_basics():
         awgn(p, -1.0, rng)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_awgn_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        awgn(np.zeros(2), sigma, block_rng(5, 0))
+
+
 def test_awgn_variance():
     rng = block_rng(99, 0)
     noise = awgn(np.zeros(1_000_000), 0.37, rng)
@@ -130,6 +136,12 @@ def test_run_mse_deterministic_and_worker_invariant(scheme):
     b = run_mse(scheme, cfg)
     c = run_mse(scheme, cfg, workers=4)
     assert a == b == c
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_mse_rejects_fewer_than_one_worker(scheme, workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_mse(scheme, SimConfig(sigma=0.0, trials=10, seed=1), workers=workers)
 
 
 def test_mse_monotone_in_sigma(scheme):
