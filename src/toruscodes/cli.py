@@ -100,11 +100,17 @@ def _load_scheme(path) -> SchemeCode:
 
 
 def _cmd_design(args) -> int:
-    codebook = None
+    n = args.N
     if args.codebook:
         codebook = _load_json(args.codebook, "codebook", LayerCodebook.from_dict)
+        dim = codebook.layers[0].dim
+        if n not in (None, dim):
+            raise _UsageError(f"-N {n} differs from the codebook's dimension {dim}")
+        n = dim
+    elif n is None:
+        raise _UsageError("-N is required without --codebook")
     else:
-        codebook = design_layers(args.N, args.delta, min_coordinate=args.delta / 2.0)
+        codebook = design_layers(n, args.delta, min_coordinate=args.delta / 2.0)
     scheme = design_scheme(codebook, args.delta, alpha=args.alpha, w_max=args.w_max)
     payload = {"codebook": codebook.to_dict(), "scheme": scheme.to_dict()}
     with open(args.output, "w") as f:
@@ -114,7 +120,7 @@ def _cmd_design(args) -> int:
     _write_manifest(
         args.output,
         "design",
-        {"N": args.N, "delta": args.delta, "alpha": args.alpha, "w_max": args.w_max},
+        {"N": n, "delta": args.delta, "alpha": args.alpha, "w_max": args.w_max},
         inputs,
     )
     print(
@@ -279,12 +285,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="design layers and curves, write scheme JSON")
-    p.add_argument("-N", type=int, required=True, help="torus dimension (>= 2)")
+    p.add_argument(
+        "-N", type=int, help="torus dimension (>= 2); with --codebook, its dimension by default"
+    )
     p.add_argument("--delta", type=float, required=True, help="target small-ball radius")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="power scale (energy alpha^2)")
     p.add_argument("--w-max", type=int, default=10_000)
-    p.add_argument("--codebook", help="user-supplied layer codebook JSON")
+    p.add_argument("--codebook", help="layer codebook JSON, its layers used in the order given")
     p.set_defaults(func=_cmd_design)
 
     blocks = f"stdin in blocks of up to {_STREAM_BLOCK} lines, output flushed per block"

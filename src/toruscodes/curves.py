@@ -189,7 +189,7 @@ def ball_radius_to_spacing(torus: TorusSpec, delta: float) -> float | None:
     coordinate radius saturates below delta).
     """
     c_min = torus.c_min
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN included
         raise ValueError("delta must be positive")
     if delta >= 2.0 * c_min:
         return None

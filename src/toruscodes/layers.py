@@ -2,29 +2,30 @@
 
 A layer codebook is an ordered set of tori whose c-vectors are pairwise at
 least 2*delta apart, which keeps points on different layers at least
-2*delta apart in the ambient space.  Construction is a deterministic greedy
-packing on an angular grid; externally constructed codebooks can be
-supplied instead.
+2*delta apart in the ambient space.  A codebook is its layers and its
+target separation; the constructor derives the achieved separation and
+rejects layers that fall short of the target, so every codebook, whether
+designed, read from a file or given by a caller, passes the same check.
+Construction is a deterministic greedy packing on an angular grid.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .torus import TorusSpec, inter_torus_distance, min_separation, separation_rows  # noqa: F401
+from .torus import TorusSpec, inter_torus_distance, min_separation  # noqa: F401
 
 # inter_torus_distance stays importable from here: perfbench/traced.py
 # wraps it by name.
 
 __all__ = [
     "LayerCodebook",
-    "ValidationReport",
     "InfeasibleSeparationError",
     "GridResolutionError",
     "design_layers",
-    "validate_codebook",
 ]
 
 
@@ -43,11 +44,15 @@ _GREEDY_PAIRS = 16_384  # most (candidate, accepted layer) pairs per block
 
 @dataclass(frozen=True, eq=False)
 class LayerCodebook:
-    """Ordered torus layers with design separation min_sep = 2*delta."""
+    """Ordered torus layers with design separation min_sep = 2*delta.
+
+    The layers keep the order given.  achieved_sep, the smallest distance
+    between two layers (inf for one layer), is derived once, and the
+    constructor rejects a codebook whose layers are closer than min_sep.
+    """
 
     layers: tuple
     min_sep: float
-    achieved_sep: float
 
     def __post_init__(self):
         if len(self.layers) < 1:
@@ -58,6 +63,10 @@ class LayerCodebook:
             raise ValueError(
                 f"achieved separation {self.achieved_sep} below target {self.min_sep}"
             )
+
+    @cached_property
+    def achieved_sep(self) -> float:
+        return min_separation(self.layers)
 
     @property
     def size(self) -> int:
@@ -79,8 +88,7 @@ class LayerCodebook:
     @classmethod
     def from_dict(cls, d: dict) -> "LayerCodebook":
         layers = tuple(TorusSpec(np.asarray(item["c"], dtype=float)) for item in d["layers"])
-        delta = float(d["delta"])
-        return cls(layers=layers, min_sep=2.0 * delta, achieved_sep=min_separation(layers))
+        return cls(layers=layers, min_sep=2.0 * float(d["delta"]))
 
     @classmethod
     def from_json(cls, text: str) -> "LayerCodebook":
@@ -134,14 +142,12 @@ def _far_from(points, columns, target: float) -> np.ndarray:
 def design_layers(
     n: int,
     delta: float,
-    strategy: str = "grid-greedy",
     grid_step: float | None = None,
-    layers=None,
     min_coordinate: float = 0.0,
 ) -> LayerCodebook:
     """Build a layer codebook with pairwise separation at least 2*delta.
 
-    grid-greedy enumerates unit vectors with positive entries on an angular
+    The greedy enumerates unit vectors with positive entries on an angular
     grid of step <= delta/2 (a documented tunable) and accepts candidates in
     lexicographic order whenever they keep distance >= 2*delta from all
     accepted ones.  Deterministic for fixed inputs.  The greedy runs block
@@ -150,8 +156,8 @@ def design_layers(
     order against the block's own acceptances.  A block holds at most
     _GREEDY_BLOCK candidates and _GREEDY_PAIRS (candidate, accepted layer)
     pairs, so its temporaries stay under 0.5 MB whatever the number of
-    layers.  The user-supplied strategy validates and wraps an explicit
-    list of c-vectors instead.
+    layers.  Given layers need no design: LayerCodebook(layers, 2*delta)
+    checks them and keeps their order.
 
     min_coordinate drops candidates whose smallest coordinate is at or below
     the threshold before the greedy runs; scheme design passes delta/2 here,
@@ -166,21 +172,6 @@ def design_layers(
         raise InfeasibleSeparationError(
             f"delta = {delta} >= 0.5 leaves no useful positive-orthant codebook"
         )
-
-    if strategy == "user-supplied":
-        if not layers:
-            raise ValueError("user-supplied strategy needs layers")
-        specs = tuple(
-            t if isinstance(t, TorusSpec) else TorusSpec(np.asarray(t, dtype=float))
-            for t in layers
-        )
-        specs = tuple(sorted(specs, key=lambda t: tuple(t.c)))
-        return LayerCodebook(
-            layers=specs, min_sep=2.0 * delta, achieved_sep=min_separation(specs)
-        )
-
-    if strategy != "grid-greedy":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     step = grid_step if grid_step is not None else delta / 2.0
     cands = _angle_grid_candidates(n, step)
@@ -206,33 +197,4 @@ def design_layers(
                 accepted[:, count] = cand
                 count += 1
     specs = tuple(TorusSpec(c) for c in accepted[:, :count].T)
-    return LayerCodebook(
-        layers=specs, min_sep=target, achieved_sep=min_separation(specs)
-    )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    achieved_sep: float
-    unconstrained: bool
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_codebook(codebook: LayerCodebook) -> ValidationReport:
-    """Recompute all pairwise layer distances and report violations."""
-    layers = codebook.layers
-    if len(layers) < 2:
-        return ValidationReport(achieved_sep=math.inf, unconstrained=True)
-    violations = []
-    best = math.inf
-    for i, d in separation_rows(layers):
-        best = min(best, float(d.min()))
-        for k in np.flatnonzero(d < codebook.min_sep - 1e-12):
-            violations.append((i, i + 1 + int(k), float(d[k])))
-    return ValidationReport(
-        achieved_sep=best, unconstrained=False, violations=tuple(violations)
-    )
+    return LayerCodebook(layers=specs, min_sep=target)

@@ -278,11 +278,7 @@ def tradeoff_table(
     The single-torus baseline runs the same procedure on the central torus
     c = (1, ..., 1)/sqrt(n).  Infeasible entries are None.
     """
-    central = LayerCodebook(
-        layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),),
-        min_sep=0.0,
-        achieved_sep=math.inf,
-    )
+    central = LayerCodebook(layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),), min_sep=0.0)
     rows = []
     for delta in deltas:
         delta = float(delta)

@@ -400,3 +400,59 @@ def test_user_codebook_design(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["scheme"]["curves"]) == 1
+
+
+def _two_dim_codebook(tmp_path):
+    # two layers, not in sorted order: design keeps the order given
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps({"delta": 0.12, "layers": [{"c": [0.8, 0.6]}, {"c": [0.6, 0.8]}]}))
+    return path
+
+
+def test_design_codebook_sets_dimension(tmp_path, capsys):
+    cb = _two_dim_codebook(tmp_path)
+    out = tmp_path / "s.json"
+    assert main(["design", "--delta", "0.12", "-o", str(out), "--codebook", str(cb)]) == 0
+    capsys.readouterr()
+    curves = json.loads(out.read_text())["scheme"]["curves"]
+    assert [c["c"] for c in curves] == [[0.8, 0.6], [0.6, 0.8]]
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    assert manifest["parameters"]["N"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-N", "3", "--delta", "0.12", "--codebook"], "-N 3 differs from the codebook"),
+        (["-N", "2", "--delta", "nan", "--codebook"], "delta must be positive"),
+        (["--delta", "0.2"], "-N is required without --codebook"),
+    ],
+    ids=["dimension-mismatch", "nan-delta", "no-codebook-no-N"],
+)
+def test_design_rejects_bad_parameters(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.json"
+    if argv[-1] == "--codebook":
+        argv = argv + [str(_two_dim_codebook(tmp_path))]
+    code = main(["design", "-o", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_design_codebook_infeasible_exit_2(tmp_path, capsys):
+    # no layer of the codebook has 2*min(c) above this radius
+    out = tmp_path / "s.json"
+    cb = _two_dim_codebook(tmp_path)
+    assert main(["design", "--delta", "1.3", "-o", str(out), "--codebook", str(cb)]) == 2
+    assert capsys.readouterr().err.startswith("infeasible design: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("deltas", ["0.1,0.5", "0", "nan"])
+def test_tradeoff_rejects_delta_outside_range(tmp_path, capsys, deltas):
+    out = tmp_path / "t.csv"
+    assert main(["tradeoff", "-N", "3", "--deltas", deltas, "-o", str(out)]) == 1
+    assert "all deltas must lie in (0, 0.5)" in capsys.readouterr().err
+    assert not out.exists()

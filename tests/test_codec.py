@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toruscodes import (
     AmbiguousPhaseError,
+    CurveSpec,
     OpCounter,
     SchemeCode,
     TorusSpec,
@@ -67,6 +68,14 @@ def test_scheme_fields(scheme_multi):
         for j in range(i + 1, s.n_layers):
             d = np.linalg.norm(s.curves[i].torus.c - s.curves[j].torus.c)
             assert d >= 2 * s.ball_radius - 1e-12
+
+
+def test_scheme_needs_curves_of_one_dimension(scheme_multi):
+    with pytest.raises(ValueError, match="at least one curve"):
+        build_scheme([])
+    flat = CurveSpec(TorusSpec(np.ones(2) / math.sqrt(2)), [1, 3])
+    with pytest.raises(ValueError, match="same dimension"):
+        build_scheme([scheme_multi.curves[0], flat])
 
 
 def test_partition_bijection(scheme_multi):

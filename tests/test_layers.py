@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -14,7 +15,6 @@ from toruscodes import (
     inter_torus_distance,
     min_separation,
     separation_rows,
-    validate_codebook,
 )
 from toruscodes import layers
 
@@ -23,7 +23,6 @@ def test_two_dim_codebook():
     cb = design_layers(2, 0.3)
     assert cb.size >= 2
     assert cb.achieved_sep >= 0.6
-    assert validate_codebook(cb).ok
 
 
 def test_three_dim_codebook_size():
@@ -45,20 +44,16 @@ def test_layers_sorted_and_positive():
 
 def test_single_layer_codebook():
     central = TorusSpec(np.ones(3) / math.sqrt(3))
-    cb = design_layers(3, 0.2, strategy="user-supplied", layers=[central])
+    cb = LayerCodebook((central,), 0.4)
     assert cb.size == 1
-    report = validate_codebook(cb)
-    assert report.unconstrained and report.achieved_sep == math.inf
+    assert cb.achieved_sep == math.inf
 
 
 def test_validate_flags_duplicates():
-    # validate recomputes distances, catching a stale achieved_sep claim
+    # the constructor derives the separation, so a duplicate layer cannot pass
     central = TorusSpec(np.ones(3) / math.sqrt(3))
-    cb = LayerCodebook(layers=(central, central), min_sep=0.2, achieved_sep=0.2)
-    report = validate_codebook(cb)
-    assert not report.ok
-    assert report.violations[0][2] == 0.0
-    assert report.achieved_sep == 0.0
+    with pytest.raises(ValueError, match="achieved separation 0.0 below target 0.2"):
+        LayerCodebook(layers=(central, central), min_sep=0.2)
 
 
 def test_greedy_determinism():
@@ -94,8 +89,8 @@ def test_infeasible_and_grid_errors():
         design_layers(4, 0.002)  # grid would explode
     with pytest.raises(ValueError):
         design_layers(1, 0.1)
-    with pytest.raises(ValueError):
-        design_layers(3, 0.1, strategy="mystery")
+    with pytest.raises(ValueError, match="delta must be positive"):
+        design_layers(3, float("nan"))
 
 
 def test_json_roundtrip():
@@ -119,8 +114,8 @@ def test_codebook_rejects_non_finite_or_negative_delta(delta):
 def test_user_codebook_rejects_bad_separation():
     a = TorusSpec(np.array([0.6, 0.8]))
     b = TorusSpec(np.array([0.61, math.sqrt(1 - 0.61**2)]))
-    with pytest.raises(ValueError):
-        design_layers(2, 0.3, strategy="user-supplied", layers=[a, b])
+    with pytest.raises(ValueError, match="below target 0.6"):
+        LayerCodebook((a, b), 0.6)
 
 
 def test_separation_rows_match_inter_torus_distance():
@@ -147,19 +142,21 @@ def test_validate_codebook_reports_injected_violation():
     c = book.layers[10].c + np.array([0.01, -0.01, 0.0])
     layers = list(book.layers)
     layers.insert(11, TorusSpec(c / np.linalg.norm(c)))
-    forged = LayerCodebook(
-        layers=tuple(layers), min_sep=book.min_sep, achieved_sep=book.achieved_sep
-    )
-    report = validate_codebook(forged)
-    pairs = [
-        (i, j, inter_torus_distance(a, b))
-        for (i, a), (j, b) in itertools.combinations(enumerate(layers), 2)
-    ]
-    assert not report.ok
-    assert (10, 11) in [(i, j) for i, j, _ in report.violations]
-    assert list(report.violations) == [p for p in pairs if p[2] < book.min_sep - 1e-12]
-    assert report.achieved_sep == min(d for _, _, d in pairs)
-    assert validate_codebook(book).violations == ()
+    with pytest.raises(ValueError, match="below target"):
+        LayerCodebook(layers=tuple(layers), min_sep=book.min_sep)
+    forged = LayerCodebook(layers=tuple(layers), min_sep=0.0)
+    pairs = [inter_torus_distance(a, b) for a, b in itertools.combinations(layers, 2)]
+    assert forged.achieved_sep == min(pairs) < book.min_sep
+
+
+def test_given_layers_keep_their_order():
+    # a file and a caller build the same codebook from the same layers
+    cs = [[0.8, 0.6], [0.6, 0.8]]
+    given = LayerCodebook(tuple(TorusSpec(np.array(c)) for c in cs), 0.24)
+    read = LayerCodebook.from_dict({"delta": 0.12, "layers": [{"c": c} for c in cs]})
+    assert [t.c.tolist() for t in given.layers] == cs
+    assert [t.c.tolist() for t in read.layers] == cs
+    assert [f.name for f in dataclasses.fields(LayerCodebook)] == ["layers", "min_sep"]
 
 
 def _greedy_one_at_a_time(n, delta, min_coordinate):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from toruscodes import (
+    InfeasibleDesignError,
     LayerCodebook,
     SchemeCode,
     SimConfig,
@@ -212,8 +213,9 @@ def test_ball_radius_to_spacing_roundtrip():
     lower = 2 * t.c_min * math.sin(math.pi * r / (2 * t.c_min))
     assert abs(lower - 0.1) < 1e-12
     assert ball_radius_to_spacing(t, 2.0) is None
-    with pytest.raises(ValueError):
-        ball_radius_to_spacing(t, 0.0)
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ball_radius_to_spacing(t, delta)
 
 
 def test_tradeoff_table_small_grid():
@@ -227,11 +229,20 @@ def test_tradeoff_table_small_grid():
 
 
 def test_tradeoff_single_layer_collapse():
-    central = LayerCodebook(
-        layers=(TorusSpec(np.ones(3) / SQ3),), min_sep=0.0, achieved_sep=math.inf
-    )
+    central = LayerCodebook(layers=(TorusSpec(np.ones(3) / SQ3),), min_sep=0.0)
     rows = tradeoff_table(3, [0.12], w_max=300, codebook=central)
     assert rows[0].length_multi == rows[0].length_single
+
+
+def test_infeasible_design_and_tradeoff_na():
+    # a curve of ball radius delta needs 2*min(c) > delta: this layer hosts
+    # none at 0.8, the central torus c = (1, 1)/sqrt(2) does
+    book = LayerCodebook((TorusSpec(np.array([0.3, math.sqrt(0.91)])),), 0.0)
+    with pytest.raises(InfeasibleDesignError, match="ball radius 0.8"):
+        design_scheme(book, 0.8)
+    rows = tradeoff_table(2, [0.8], w_max=300, codebook=book)
+    assert rows[0].length_single > 0.0 and rows[0].length_multi is None
+    assert format_tradeoff_csv(rows).splitlines()[1].endswith(",NA")
 
 
 def test_csv_formats(scheme):
