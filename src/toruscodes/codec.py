@@ -22,7 +22,6 @@ coefficients and the curve parameter; SchemeCode's arc map takes that back
 to x.  The scalar functions wrap the stages of decode_batch.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,9 +186,6 @@ class SchemeCode:
     def dim(self) -> int:
         return self.curves[0].torus.dim
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -210,10 +206,6 @@ class SchemeCode:
         curves = [CurveSpec.from_dict(item) for item in d["curves"]]
         # files written before the seam guard existed encode on closed curves
         return build_scheme(curves, alpha=float(d["alpha"]), guard=float(d.get("guard", 0.0)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SchemeCode":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ orthogonal to u_hat.
 The scaled lifting construction generates winding vectors whose projection
 lattices converge (in Gram distance) to any chosen target lattice, which is
 how long curves with guaranteed spacing are found.  search_best_w looks for
-the largest window w whose curve keeps a spacing target: it first drops
+the largest window w whose curve keeps a spacing target, aiming at the
+densest lattice of rank N-1 in the _TARGETS table: it first drops
 whole ranges of windows whose interval bound on ||u_hat|| shows that a
 Hermite bound rules out every one of them, then computes the windings of
 the remaining windows block by block as integer arrays, drops the windows
@@ -18,7 +19,6 @@ the Hermite bound rules out, and runs the exact shortest-vector spacing
 only on the survivors, in descending w, until the first hit.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,9 +111,6 @@ class CurveSpec:
     def ball_upper(self) -> float:
         return small_ball_bounds(self.torus, self.spacing)[1]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         """c and u, plus the derived values for readers of the file;
         from_dict reads back only c and u."""
@@ -129,10 +126,6 @@ class CurveSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
         return cls(torus=TorusSpec(np.asarray(d["c"], dtype=float)), u=d["u"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "CurveSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def make_curve(torus: TorusSpec, u) -> CurveSpec:
@@ -404,19 +397,20 @@ def _range_norm2_floor(target, c_scaled, c, lo: int, hi: int) -> float:
 
 
 def search_best_w(
-    target: TargetLattice,
     torus: TorusSpec,
     r_min: float,
     w_max: int = 10_000,
 ) -> tuple[int, CurveSpec] | None:
     """Largest window w <= w_max whose lifted curve keeps spacing >= r_min.
 
+    The lifting aims at the densest lattice of rank m = torus.dim - 1, the
+    target of the _TARGETS row for m; a rank with no row raises ValueError.
     Spacing is not provably monotone in w, so the scan walks w downward and
     returns the first hit, which is exactly the largest feasible w.  A norm
     bound prunes hopeless w without a shortest-vector computation: a rank-m
     lattice of covolume V = prod(c) / ||u_hat|| has shortest vector at most
-    sqrt(g_m) * V^(1/m) with g_m the Hermite constant, so any w with
-    g_m^(m/2) * V < r_min^m is skipped.
+    sqrt(g_m) * V^(1/m) with g_m the Hermite constant of the row, so any w
+    with g_m^(m/2) * V < r_min^m is skipped.
 
     Whole ranges of windows are ruled out before any of their windings is
     computed.  The range [1, w_max] is split in halves, upper half first;
@@ -426,21 +420,19 @@ def search_best_w(
     windings and its prune are array operations, and the exact line spacing
     is computed only for the windows that survive, in descending w, until
     the first hit.  A dropped window could never be a hit, so the result is the
-    one of a scan of every window.  Where _TARGETS has no Hermite constant
-    for the rank, nothing is pruned or dropped.  Memory does not depend on w_max.
+    one of a scan of every window.  Memory does not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.
     """
-    if r_min <= 0.0:
+    if not r_min > 0.0:  # NaN included
         raise ValueError("r_min must be positive")
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     c = torus.c
     m = torus.dim - 1
-    if target.dim != m:
-        raise ValueError("target dimension must be torus dimension - 1")
+    target = default_target(torus.dim)
+    gamma = _TARGETS[m][1]
     c_scaled = c / c[0]
-    gamma = _TARGETS[m][1] if m in _TARGETS else None
     prod_c = float(np.prod(c))
 
     def pruned(norm2):
@@ -450,7 +442,7 @@ def search_best_w(
     ranges = [(1, int(w_max))]
     while ranges:
         lo, hi = ranges.pop()
-        if gamma is not None and pruned(_range_norm2_floor(target, c_scaled, c, lo, hi)):
+        if pruned(_range_norm2_floor(target, c_scaled, c, lo, hi)):
             continue
         if hi - lo >= _SCAN_BLOCK:
             mid = (lo + hi) // 2
@@ -458,17 +450,14 @@ def search_best_w(
             continue
         ws = np.arange(hi, lo - 1, -1)
         us = _lifting_windings(target, c_scaled, ws)
-        survivors = range(len(ws))
-        if gamma is not None:
-            # ||u_hat||^2 summed term by term in index order; Python's x**2
-            # is libm pow, which float_power calls too (x*x can differ in
-            # the last bit)
-            uf = us.astype(float)
-            norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
-            for i in range(1, m + 1):
-                norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
-            survivors = np.flatnonzero(~pruned(norm2))
-        for k in survivors:
+        # ||u_hat||^2 summed term by term in index order; Python's x**2 is
+        # libm pow, which float_power calls too (x*x can differ in the last
+        # bit)
+        uf = us.astype(float)
+        norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
+        for i in range(1, m + 1):
+            norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
+        for k in np.flatnonzero(~pruned(norm2)):
             cs = CurveSpec(torus, _checked_winding(us[k]))
             if cs.spacing >= r_min:
                 try:

@@ -9,7 +9,6 @@ space of dimension >= rank.  Everything here targets desk-scale ranks
 (<= 8), where exact enumeration is affordable and serves as an oracle.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -91,13 +90,6 @@ class LatticeBasis:
 
     def __repr__(self):
         return f"LatticeBasis(rank={self.rank}, dim={self.dim})"
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": self._rows.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeBasis":
-        return cls(json.loads(text)["rows"])
 
 
 @dataclass(frozen=True, eq=False)

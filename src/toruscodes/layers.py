@@ -9,7 +9,6 @@ designed, read from a file or given by a caller, passes the same check.
 Construction is a deterministic greedy packing on an angular grid.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +33,7 @@ class InfeasibleSeparationError(ValueError):
 
 
 class GridResolutionError(ValueError):
-    """The candidate grid would be too large or too small to search."""
+    """The candidate grid would be too large to search."""
 
 
 _MAX_CANDIDATES = 5_000_000
@@ -76,9 +75,6 @@ class LayerCodebook:
     def delta(self) -> float:
         return self.min_sep / 2.0
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,
@@ -90,10 +86,6 @@ class LayerCodebook:
         layers = tuple(TorusSpec(np.asarray(item["c"], dtype=float)) for item in d["layers"])
         return cls(layers=layers, min_sep=2.0 * float(d["delta"]))
 
-    @classmethod
-    def from_json(cls, text: str) -> "LayerCodebook":
-        return cls.from_dict(json.loads(text))
-
 
 def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
     """Unit vectors with strictly positive entries on an angular grid.
@@ -103,12 +95,10 @@ def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
     positive (boundary candidates are pushed inward by one step).
     """
     k = int(math.floor((math.pi / 2.0 - step / 2.0) / step))
-    if k < 1:
-        raise GridResolutionError("grid step too coarse for the quarter circle")
     if k ** (n - 1) > _MAX_CANDIDATES:
         raise GridResolutionError(
             f"angular grid would need {k ** (n - 1)} candidates; "
-            "supply a user codebook or a coarser grid step"
+            "supply a codebook or a larger delta"
         )
     angles = step * np.arange(1, k + 1)
     cands = np.empty((k ** (n - 1), n))
@@ -139,21 +129,16 @@ def _far_from(points, columns, target: float) -> np.ndarray:
     return np.sqrt(d2.min(axis=1)) >= target
 
 
-def design_layers(
-    n: int,
-    delta: float,
-    grid_step: float | None = None,
-    min_coordinate: float = 0.0,
-) -> LayerCodebook:
+def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCodebook:
     """Build a layer codebook with pairwise separation at least 2*delta.
 
     The greedy enumerates unit vectors with positive entries on an angular
-    grid of step <= delta/2 (a documented tunable) and accepts candidates in
-    lexicographic order whenever they keep distance >= 2*delta from all
-    accepted ones.  Deterministic for fixed inputs.  The greedy runs block
-    by block: one array operation checks a block of candidates against the
-    layers accepted before it, and only the survivors are then checked in
-    order against the block's own acceptances.  A block holds at most
+    grid of step delta/2 and accepts candidates in lexicographic order
+    whenever they keep distance >= 2*delta from all accepted ones.
+    Deterministic for fixed inputs.  The greedy runs block by block: one
+    array operation checks a block of candidates against the layers
+    accepted before it, and only the survivors are then checked in order
+    against the block's own acceptances.  A block holds at most
     _GREEDY_BLOCK candidates and _GREEDY_PAIRS (candidate, accepted layer)
     pairs, so its temporaries stay under 0.5 MB whatever the number of
     layers.  Given layers need no design: LayerCodebook(layers, 2*delta)
@@ -173,8 +158,7 @@ def design_layers(
             f"delta = {delta} >= 0.5 leaves no useful positive-orthant codebook"
         )
 
-    step = grid_step if grid_step is not None else delta / 2.0
-    cands = _angle_grid_candidates(n, step)
+    cands = _angle_grid_candidates(n, delta / 2.0)
     if min_coordinate > 0.0:
         cands = cands[cands.min(axis=1) > min_coordinate]
         if cands.shape[0] == 0:

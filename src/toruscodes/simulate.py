@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
-from .curves import CurveSpec, ball_radius_to_spacing, default_target, search_best_w
+from .curves import CurveSpec, ball_radius_to_spacing, search_best_w
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
 from .torus import TorusSpec, intra_torus_distance
@@ -37,7 +37,8 @@ __all__ = [
 
 
 class InfeasibleDesignError(ValueError):
-    """No layer of the codebook can host a curve at the requested radius."""
+    """The codebook cannot host curves at the requested radius: its layers
+    are closer than twice the radius, or no layer can host such a curve."""
 
 BLOCK = 4096  # trials per RNG block; changing it changes the streams
 
@@ -238,16 +239,22 @@ def design_scheme(
 ) -> SchemeCode:
     """Design one curve per layer with small-ball radius at least delta.
 
-    Layers that cannot host a feasible curve are skipped.  Raises if no
+    Layers that cannot host a feasible curve are skipped.  Raises if the
+    layers are closer than 2*delta (the constructor's slack of 1e-12), since
+    the scheme's ball radius is capped at half their separation, or if no
     layer remains.  Each curve keeps a seam arc of 2*delta unused, so the two
     ends of its subinterval are as far apart as neighboring folds.
     """
+    if codebook.achieved_sep < 2.0 * delta - 1e-12:
+        raise InfeasibleDesignError(
+            f"codebook layers are {codebook.achieved_sep} apart, below 2*delta = {2.0 * delta}"
+        )
     curves = []
     for torus in codebook.layers:
         r_min = ball_radius_to_spacing(torus, delta)
         if r_min is None:
             continue
-        found = search_best_w(default_target(torus.dim), torus, r_min, w_max=w_max)
+        found = search_best_w(torus, r_min, w_max=w_max)
         if found is None:
             continue
         curves.append(found[1])
@@ -278,6 +285,8 @@ def tradeoff_table(
     The single-torus baseline runs the same procedure on the central torus
     c = (1, ..., 1)/sqrt(n).  Infeasible entries are None.
     """
+    if n < 2:
+        raise ValueError("need dimension >= 2")
     central = LayerCodebook(layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),), min_sep=0.0)
     rows = []
     for delta in deltas:

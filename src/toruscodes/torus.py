@@ -8,7 +8,6 @@ sphere.  This module holds the chart, the box reduction, and the distance
 formulas and bounds used everywhere else.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -72,13 +71,6 @@ class TorusSpec:
 
     def __eq__(self, other):
         return isinstance(other, TorusSpec) and np.array_equal(self.c, other.c)
-
-    def to_json(self) -> str:
-        return json.dumps({"c": self.c.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TorusSpec":
-        return cls(np.asarray(json.loads(text)["c"], dtype=float))
 
 
 def embed(torus: TorusSpec, u) -> np.ndarray:

@@ -27,7 +27,6 @@ from toruscodes import (
     exact_small_ball_2d,
     format_tradeoff_csv,
     hexagonal_target,
-    integer_target,
     intra_torus_distance,
     lifting_dual_basis,
     lifting_winding,
@@ -226,7 +225,7 @@ def _designed_curves():
             r_min = ball_radius_to_spacing(torus, delta)
             if r_min is None:
                 continue
-            found = search_best_w(integer_target(), torus, r_min, w_max=300)
+            found = search_best_w(torus, r_min, w_max=300)
             if found and np.sum(np.abs(found[1].u)) >= 8:
                 curves.append(found[1])
     for delta in (0.10, 0.14):
@@ -234,7 +233,7 @@ def _designed_curves():
             r_min = ball_radius_to_spacing(torus, delta)
             if r_min is None:
                 continue
-            found = search_best_w(hexagonal_target(), torus, r_min, w_max=300)
+            found = search_best_w(torus, r_min, w_max=300)
             if found and np.sum(np.abs(found[1].u)) >= 8:
                 curves.append(found[1])
     return curves[:20]
@@ -272,7 +271,7 @@ def test_criterion_3_small_ball_sandwich_and_exact():
 def scheme_m1():
     torus = TorusSpec(np.ones(3) / SQ3)
     r_min = ball_radius_to_spacing(torus, 0.1)
-    _, cs = search_best_w(hexagonal_target(), torus, r_min, w_max=200)
+    _, cs = search_best_w(torus, r_min, w_max=200)
     return build_scheme([cs], alpha=1.0)
 
 

@@ -450,6 +450,26 @@ def test_design_codebook_infeasible_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_design_codebook_closer_than_2_delta_exit_2(tmp_path, capsys):
+    # the layers are 0.283 apart: no scheme on them has ball radius 0.2
+    out = tmp_path / "s.json"
+    cb = _two_dim_codebook(tmp_path)
+    assert main(["design", "--delta", "0.2", "-o", str(out), "--codebook", str(cb)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible design: ") and "below 2*delta = 0.4" in err
+    assert not out.exists()
+    assert not (tmp_path / "s.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1"])
+def test_tradeoff_rejects_dimension_below_2(tmp_path, capsys, n):
+    out = tmp_path / "t.csv"
+    assert main(["tradeoff", "-N", n, "--deltas", "0.1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need dimension >= 2")
+    assert "Traceback" not in err
+    assert not out.exists()
+
 @pytest.mark.parametrize("deltas", ["0.1,0.5", "0", "nan"])
 def test_tradeoff_rejects_delta_outside_range(tmp_path, capsys, deltas):
     out = tmp_path / "t.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -28,7 +29,6 @@ from toruscodes import (
     encode_batch,
     extract_polar,
     fcc_target,
-    hexagonal_target,
     lifting_winding,
     make_curve,
     nearest_layer,
@@ -46,7 +46,7 @@ SQ3 = math.sqrt(3.0)
 @pytest.fixture(scope="module")
 def scheme_m1():
     torus = TorusSpec(np.ones(3) / SQ3)
-    _, cs = search_best_w(hexagonal_target(), torus, 0.045, w_max=100)
+    _, cs = search_best_w(torus, 0.045, w_max=100)
     return build_scheme([cs], alpha=1.0)
 
 
@@ -608,7 +608,7 @@ def test_decode_batch_matches_box_point_reference(designed_schemes, n, noise):
 def test_cached_scheme_arrays_are_read_only(scheme_multi):
     # run_mse's worker threads share these; a write must fail, not race.
     # The decoder table is built on the first decode, not at load.
-    s = SchemeCode.from_json(scheme_multi.to_json())
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
     assert "_line_lattices" not in s.__dict__
     encode(s, 0.3)
     assert "_line_lattices" not in s.__dict__
@@ -628,7 +628,7 @@ def test_line_lattices_is_a_closest_line_table(scheme_multi):
     assert "seam" not in [f.name for f in dataclasses.fields(_LineLattices)]
     assert list(inspect.signature(_LineLattices.build).parameters) == ["curves"]
     # the arc table is built on first use, not at load
-    assert "_arcs" not in SchemeCode.from_json(scheme_multi.to_json()).__dict__
+    assert "_arcs" not in SchemeCode.from_dict(scheme_multi.to_dict()).__dict__
 
 
 @pytest.mark.parametrize("guard", [0.24, 0.0])
@@ -693,11 +693,11 @@ def test_decode_batch_rejects_misshapen_input(scheme_multi):
 
 
 def test_four_dimensional_scheme_roundtrip(rng):
-    from toruscodes import fcc_target, search_best_w, ball_radius_to_spacing
+    from toruscodes import search_best_w, ball_radius_to_spacing
 
     t4 = TorusSpec(np.ones(4) / 2.0)
     r_min = ball_radius_to_spacing(t4, 0.1)
-    _, cs = search_best_w(fcc_target(), t4, r_min, w_max=50)
+    _, cs = search_best_w(t4, r_min, w_max=50)
     s = build_scheme([cs])
     xs = rng.random(300)
     x_hat, _, undec, _ = decode_batch(s, encode_batch(s, xs))
@@ -800,7 +800,7 @@ def test_scheme_without_guard_loads_closed(scheme_multi, rng):
 
 def test_scheme_json_roundtrip(scheme_multi, rng):
     s = scheme_multi
-    again = SchemeCode.from_json(s.to_json())
+    again = SchemeCode.from_dict(json.loads(json.dumps(s.to_dict())))
     assert again.n_layers == s.n_layers
     assert abs(again.total_length - s.total_length) < 1e-9
     xs = rng.random(50)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -128,7 +129,7 @@ def test_curvespec_normalization_and_json():
     t = central_torus(3)
     cs = make_curve(t, [-1, 2, 2])
     assert tuple(cs.u) == (1, -2, -2)  # sign fixed so first nonzero is positive
-    again = CurveSpec.from_json(cs.to_json())
+    again = CurveSpec.from_dict(json.loads(json.dumps(cs.to_dict())))
     assert np.array_equal(again.u, cs.u)
     assert abs(again.length - cs.length) < 1e-12
     with pytest.raises(PrimitivityError):
@@ -297,21 +298,28 @@ def test_search_best_w():
     target = hexagonal_target()
     c_scaled = t.c / t.c[0]
     r1 = line_spacing(t, lifting_winding(target, c_scaled, 1))
-    assert search_best_w(target, t, r1 * 1.5, w_max=100) is None
-    w, cs = search_best_w(target, t, 1e-9, w_max=64)
+    assert search_best_w(t, r1 * 1.5, w_max=100) is None
+    w, cs = search_best_w(t, 1e-9, w_max=64)
     assert w == 64
     assert cs.spacing >= 1e-9
-    with pytest.raises(ValueError):
-        search_best_w(target, t, -1.0)
+    for r_min in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="r_min must be positive"):
+            search_best_w(t, r_min)
+
+
+def test_search_best_w_needs_a_target_row():
+    # the search aims at the _TARGETS row of rank N - 1; N = 5 has none
+    assert 4 not in curves._TARGETS
+    with pytest.raises(ValueError, match="no built-in target lattice for torus dimension 5"):
+        search_best_w(central_torus(5), 0.01, w_max=10)
 
 
 def test_search_anti_monotone_length():
     t = central_torus(3)
-    target = hexagonal_target()
     r_grid = [0.003, 0.006, 0.012, 0.024, 0.048]
     lengths = []
     for r_min in r_grid:
-        found = search_best_w(target, t, r_min, w_max=500)
+        found = search_best_w(t, r_min, w_max=500)
         assert found is not None
         lengths.append(found[1].length)
     assert all(a >= b - 1e-9 for a, b in zip(lengths, lengths[1:]))
@@ -321,7 +329,7 @@ def test_search_result_meets_target():
     for delta_c in (np.ones(3), np.array([1.0, 1.21, 0.84])):
         c = delta_c / np.linalg.norm(delta_c)
         t = TorusSpec(c)
-        found = search_best_w(hexagonal_target(), t, 0.02, w_max=200)
+        found = search_best_w(t, 0.02, w_max=200)
         assert found is not None
         w, cs = found
         assert cs.spacing >= 0.02
@@ -384,7 +392,7 @@ def test_search_matches_scalar_scan(n, c, log_r_min, w_max):
     # each of which may be skipped
     for block in (curves._SCAN_BLOCK, 7, 2):
         with mock.patch.object(curves, "_SCAN_BLOCK", block):
-            got = search_best_w(target, torus, r_min, w_max=w_max)
+            got = search_best_w(torus, r_min, w_max=w_max)
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0] == want[0]
@@ -439,8 +447,8 @@ def test_search_skips_pruned_ranges():
     logical, rows = [], []
     search, windings = simulate.search_best_w, curves._lifting_windings
 
-    def counted_search(target, torus, r_min, w_max):
-        found = search(target, torus, r_min, w_max=w_max)
+    def counted_search(torus, r_min, w_max):
+        found = search(torus, r_min, w_max=w_max)
         logical.append(w_max if found is None else w_max - found[0] + 1)
         return found
 
@@ -482,7 +490,7 @@ def test_lifting_windings_exact_across_2_53_and_2_62():
     # the scan reports the overflow of an unpruned window instead of wrapping
     torus = TorusSpec(c / np.linalg.norm(c))
     with pytest.raises(ConstructionViolatedError):
-        search_best_w(target, torus, 1e-12, w_max=1_990_224)
-    w, cs = search_best_w(target, torus, 1e-12, w_max=1_990_222)
+        search_best_w(torus, 1e-12, w_max=1_990_224)
+    w, cs = search_best_w(torus, 1e-12, w_max=1_990_222)
     assert w == 1_990_222
     assert cs.u.tolist() == _python_winding(target, torus.c / torus.c[0], w)

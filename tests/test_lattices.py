@@ -320,12 +320,9 @@ def test_density_identity_and_bound(rng):
                 assert dens <= HEX_DENSITY + 1e-9
 
 
-def test_basis_validation_and_json():
+def test_basis_validation():
     with pytest.raises(DegenerateBasisError):
         LatticeBasis([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError):
         LatticeBasis([[1.0], [2.0]])  # rank above dimension
-    basis = LatticeBasis(HEX)
-    again = LatticeBasis.from_json(basis.to_json())
-    assert np.allclose(again.rows, basis.rows)
-    assert not basis.rows.flags.writeable
+    assert not LatticeBasis(HEX).rows.flags.writeable

@@ -20,7 +20,6 @@ from toruscodes import (
     exact_small_ball_2d,
     format_mse_csv,
     format_tradeoff_csv,
-    hexagonal_target,
     make_curve,
     run_mse,
     search_best_w,
@@ -157,7 +156,7 @@ def test_oracle_never_loses_across_sweep():
     from toruscodes import decode_batch, decode_exhaustive_batch, encode_batch
 
     torus = TorusSpec(np.ones(3) / SQ3)
-    _, cs = search_best_w(hexagonal_target(), torus, 0.05, w_max=100)
+    _, cs = search_best_w(torus, 0.05, w_max=100)
     s = build_scheme([cs])
     rng = np.random.default_rng(88)
     n = 2000
@@ -202,7 +201,7 @@ def test_estimate_small_ball_monotone_in_samples():
 
 def test_estimate_small_ball_3d_sandwich():
     torus = TorusSpec(np.ones(3) / SQ3)
-    _, cs = search_best_w(hexagonal_target(), torus, 0.05, w_max=100)
+    _, cs = search_best_w(torus, 0.05, w_max=100)
     est = estimate_small_ball(cs, samples=200_000)
     assert cs.ball_lower - 1e-6 <= est <= cs.ball_upper + 1e-6
 
@@ -243,6 +242,17 @@ def test_infeasible_design_and_tradeoff_na():
     rows = tradeoff_table(2, [0.8], w_max=300, codebook=book)
     assert rows[0].length_single > 0.0 and rows[0].length_multi is None
     assert format_tradeoff_csv(rows).splitlines()[1].endswith(",NA")
+
+
+def test_design_scheme_needs_layers_2_delta_apart():
+    # the layers are 0.283 apart, and a scheme's ball radius is capped at
+    # half the separation of its layers
+    book = LayerCodebook((TorusSpec(np.array([0.8, 0.6])), TorusSpec(np.array([0.6, 0.8]))), 0.24)
+    half = book.achieved_sep / 2.0
+    assert design_scheme(book, half, w_max=300).ball_radius == pytest.approx(half)
+    for delta in (half + 1e-12, 0.2):
+        with pytest.raises(InfeasibleDesignError, match=r"below 2\*delta"):
+            design_scheme(book, delta, w_max=300)
 
 
 def test_csv_formats(scheme):

@@ -161,8 +161,3 @@ def test_inter_distance_is_metric(rng):
             assert abs(dab - inter_torus_distance(b, a)) < 1e-15
             for c in tori:
                 assert dab <= inter_torus_distance(a, c) + inter_torus_distance(c, b) + 1e-12
-
-
-def test_json_roundtrip():
-    t = TorusSpec(np.array([0.6, 0.8]))
-    assert TorusSpec.from_json(t.to_json()) == t
