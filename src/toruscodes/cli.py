@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, codec
 from .codec import SchemeCode, decode_batch
 from .layers import InfeasibleSeparationError, LayerCodebook, design_layers
-from .curves import OutOfRangeError
+from .curves import OutOfRangeError, default_target
 from .simulate import (
     InfeasibleDesignError,
     SimConfig,
@@ -110,6 +110,7 @@ def _cmd_design(args) -> int:
     elif n is None:
         raise _UsageError("-N is required without --codebook")
     else:
+        default_target(n)  # a dimension without a target fails before the layer greedy
         codebook = design_layers(n, args.delta, min_coordinate=args.delta / 2.0)
     scheme = design_scheme(codebook, args.delta, alpha=args.alpha, w_max=args.w_max)
     payload = {"codebook": codebook.to_dict(), "scheme": scheme.to_dict()}
@@ -128,6 +129,17 @@ def _cmd_design(args) -> int:
         f"ball_radius={scheme.ball_radius:.6f}"
     )
     return 0
+
+
+def _window_limit(text) -> int:
+    """The --w-max argument: an integer >= 1."""
+    try:
+        w = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if w < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {w}")
+    return w
 
 
 def _may_wait(stream) -> bool:
@@ -291,7 +303,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, required=True, help="target small-ball radius")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="power scale (energy alpha^2)")
-    p.add_argument("--w-max", type=int, default=10_000)
+    p.add_argument("--w-max", type=_window_limit, default=10_000)
     p.add_argument("--codebook", help="layer codebook JSON, its layers used in the order given")
     p.set_defaults(func=_cmd_design)
 
@@ -316,7 +328,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-N", type=int, required=True)
     p.add_argument("--deltas", required=True, help="comma-separated radii")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--w-max", type=int, default=10_000)
+    p.add_argument("--w-max", type=_window_limit, default=10_000)
     p.set_defaults(func=_cmd_tradeoff)
     return parser
 

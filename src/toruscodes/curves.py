@@ -14,14 +14,18 @@ the largest window w whose curve keeps a spacing target, aiming at the
 densest lattice of rank N-1 in the _TARGETS table: it first drops
 whole ranges of windows whose interval bound on ||u_hat|| shows that a
 Hermite bound rules out every one of them, then computes the windings of
-the remaining windows block by block as integer arrays, drops the windows
-the Hermite bound rules out, and runs the exact shortest-vector spacing
-only on the survivors, in descending w, until the first hit.
+the remaining windows block by block as integer arrays, and drops the
+windows the Hermite bound rules out.  A surviving window whose own lifting
+rows give a line vector shorter than the target (a certificate checked in
+exact integers) is rejected without a lattice reduction; the exact
+shortest-vector spacing runs only on the windows left, in descending w,
+until the first hit.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .lattices import (
     _OVERFLOW,
     LatticeBasis,
     PrimitivityError,
+    _integer_scale,
     _primitive_entries,
     projection_lattice_basis,
     shortest_vector,
@@ -396,6 +401,66 @@ def _range_norm2_floor(target, c_scaled, c, lo: int, hi: int) -> float:
     return norm2 / (1.0 + _SKIP_MARGIN) ** 2
 
 
+_CERT_MARGIN = 1e-9  # relative slack below r_min for a line vector to reject a window
+# rank m -> the z in {-1, 0, 1}^m whose first nonzero entry is 1: one of each +-z
+_SIGNS = {
+    m: np.array([z for z in product((0, 1, -1), repeat=m) if next((x for x in z if x), 0) == 1])
+    for m in _TARGETS
+}
+
+
+def _line_vector(a, z) -> list[int]:
+    """The integer n with n_0 = 0 and K n = z, where K has the lifting rows
+    k_i = (a[i][0], ..., a[i][i], 1, 0, ..., 0) of one window's floors a.
+
+    The window's winding solves the same recursion with u_0 = 1 and K u = 0.
+    [e_0; K] is unit lower triangular, so u and the n of z = e_1, ..., e_m
+    form a basis of Z^N, and their P(c*n), P the projection orthogonal to
+    u_hat, a basis of the curve's line lattice.
+    """
+    n = [0]
+    for i, zi in enumerate(z):
+        n.append(int(zi) - sum(int(a[i][j]) * n[j] for j in range(1, i + 1)))
+    return n
+
+
+def _screen_line_vectors(a, c: np.ndarray, bound2: float):
+    """For windows with floors a (shape (B, m, m)): the z among _SIGNS[m]
+    whose line vector P(c*n(z)) is shortest, and whether its float norm^2 is
+    below bound2.
+
+    The rows k_i / c lie in the hyperplane orthogonal to u_hat, and
+    <k_i / c, P(c*n_j)> = (K n_j)_i = delta_ij, so the P(c*n_j) are their
+    dual basis there, with Gram matrix the inverse of theirs.  Their Gram
+    matrix is close to w^2 times the target's dual Gram, so it is well
+    conditioned and inverts accurately in float64, whereas c*n_j itself is
+    far longer than its projection and would lose the projection to
+    cancellation.
+    """
+    m = a.shape[1]
+    signs = _SIGNS[m]
+    k = np.zeros((a.shape[0], m, m + 1))
+    k[:, :, :m] = a
+    k[:, np.arange(m), np.arange(1, m + 1)] = 1.0
+    k /= c
+    gram = np.linalg.inv(k @ k.transpose(0, 2, 1))
+    norm2 = np.einsum("qi,bij,qj->bq", signs, gram, signs)
+    best = norm2.argmin(axis=1)
+    return signs[best], norm2[np.arange(a.shape[0]), best] < bound2
+
+
+def _shorter_than(a: list, u: list, n: list, bound: tuple[int, int]) -> bool:
+    """Whether ||P(c*n)||^2 < p / q for bound = (p, q), in exact integers,
+    P the projection orthogonal to c*u and a = c times a common integer
+    scale that p / q carries too."""
+    au = [ai * ui for ai, ui in zip(a, u)]
+    an = [ai * ni for ai, ni in zip(a, n)]
+    d = sum(x * x for x in au)
+    t = sum(x * y for x, y in zip(an, au))
+    p, q = bound
+    return (sum(x * x for x in an) * d - t * t) * q < p * d
+
+
 def search_best_w(
     torus: TorusSpec,
     r_min: float,
@@ -417,10 +482,20 @@ def search_best_w(
     a range whose interval bound on ||u_hat|| (_range_norm2_floor) shows that
     the prune fires on every one of its windows is dropped, and a range of
     at most _SCAN_BLOCK windows that is not is scanned as one block: its
-    windings and its prune are array operations, and the exact line spacing
-    is computed only for the windows that survive, in descending w, until
-    the first hit.  A dropped window could never be a hit, so the result is the
-    one of a scan of every window.  Memory does not depend on w_max.
+    windings and its prune are array operations.
+
+    A surviving window is rejected without its exact spacing when a short
+    line vector proves it infeasible.  Its lifting rows K (K u = 0) give
+    integer n(z) with K n(z) = z (_line_vector), and the P(c*n(e_j)) are a
+    basis of its line lattice, close to the scaled target.  For each window
+    of an int64 block, the shortest P(c*n(z)) over z in {-1, 0, 1}^m (one
+    of each +-z) is found in float64 for the block at once
+    (_screen_line_vectors) and confirmed in exact integers to be shorter
+    than r_min*(1 - _CERT_MARGIN) (_shorter_than); then the true spacing is
+    below r_min too.  The exact line spacing is computed only for the
+    windows left, in descending w, until the first hit.  A dropped or
+    certified window could never be a hit, so the result is the one of a
+    scan of every window.  Memory does not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.
     """
@@ -434,6 +509,11 @@ def search_best_w(
     gamma = _TARGETS[m][1]
     c_scaled = c / c[0]
     prod_c = float(np.prod(c))
+    cert = r_min * (1.0 - _CERT_MARGIN)
+    # c = a_int / den exactly, and cert^2 * den^2 = cert_bound[0] / cert_bound[1]
+    a_int, den = _integer_scale(c)
+    p_cert, q_cert = cert.as_integer_ratio()
+    cert_bound = ((p_cert * den) ** 2, q_cert**2)
 
     def pruned(norm2):
         # spacing provably below r_min where the bound fails
@@ -457,8 +537,19 @@ def search_best_w(
         norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
         for i in range(1, m + 1):
             norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
-        for k in np.flatnonzero(~pruned(norm2)):
-            cs = CurveSpec(torus, _checked_winding(us[k]))
+        keep = np.flatnonzero(~pruned(norm2))
+        if keep.size and us.dtype != object:
+            floors = _window_floors(target, c_scaled, ws[keep])
+            zs, screened = _screen_line_vectors(floors, c, cert**2)
+        else:
+            screened = np.zeros(keep.size, dtype=bool)
+        for i, k in enumerate(keep):
+            u = _checked_winding(us[k])
+            if screened[i] and _shorter_than(
+                a_int, u.tolist(), _line_vector(floors[i].tolist(), zs[i].tolist()), cert_bound
+            ):
+                continue  # a line vector of the window proves its spacing < r_min
+            cs = CurveSpec(torus, u)
             if cs.spacing >= r_min:
                 try:
                     cs.ball_lower

@@ -245,6 +245,13 @@ def _lll(rows: list[list[int]], w: list[int]) -> list[list[int]]:
     return rows
 
 
+def _integer_scale(c) -> tuple[list[int], int]:
+    """Integers a and den with c = a / den exactly (den a power of two)."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(c, dtype=float).tolist()]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den
+
+
 def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
     """Reduced basis of the lattice of lines {2*pi*(u_hat*x + c*n)}, n in Z^N,
     of the curve with primitive winding u, u_hat = c*u.
@@ -261,12 +268,10 @@ def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
     """
     u = [int(x) for x in u]
     _, s = _kernel_and_bezout(u)
-    # c = a / den exactly (den a power of two), so n -> c*n is n -> a*n
-    # scaled, and P(c*n) = a*(d*n - t*u) / (den*d) with the integers
-    # d = <a*u, a*u> and t = <a*n, a*u>
-    ratios = [x.as_integer_ratio() for x in np.asarray(c, dtype=float).tolist()]
-    den = max(q for _, q in ratios)
-    a = [p * (den // q) for p, q in ratios]
+    # c = a / den exactly, so n -> c*n is n -> a*n scaled, and
+    # P(c*n) = a*(d*n - t*u) / (den*d) with the integers d = <a*u, a*u> and
+    # t = <a*n, a*u>
+    a, den = _integer_scale(c)
     kernel = _lll([u] + _kernel_and_bezout(s)[0], [x * x for x in a])[1:]
     au = [ai * ui for ai, ui in zip(a, u)]
     d = sum(x * x for x in au)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
-from .curves import CurveSpec, ball_radius_to_spacing, search_best_w
+from .curves import CurveSpec, ball_radius_to_spacing, default_target, search_best_w
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
 from .torus import TorusSpec, intra_torus_distance
@@ -283,10 +283,13 @@ def tradeoff_table(
     each, whose spacing target comes from inverting the small-ball lower
     bound; the largest lifting window meeting the target gives the curve.
     The single-torus baseline runs the same procedure on the central torus
-    c = (1, ..., 1)/sqrt(n).  Infeasible entries are None.
+    c = (1, ..., 1)/sqrt(n).  Infeasible entries are None.  A dimension
+    without a built-in target lattice raises ValueError before any layer is
+    designed.
     """
     if n < 2:
         raise ValueError("need dimension >= 2")
+    default_target(n)  # a dimension without a target fails before any layer is designed
     central = LayerCodebook(layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),), min_sep=0.0)
     rows = []
     for delta in deltas:

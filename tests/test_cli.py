@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from toruscodes import cli, codec, design_layers
+from toruscodes import cli, codec, design_layers, simulate
 from toruscodes.cli import main
 
 
@@ -475,4 +475,34 @@ def test_tradeoff_rejects_delta_outside_range(tmp_path, capsys, deltas):
     out = tmp_path / "t.csv"
     assert main(["tradeoff", "-N", "3", "--deltas", deltas, "-o", str(out)]) == 1
     assert "all deltas must lie in (0, 0.5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_layer_design(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("layers designed before the arguments were checked")
+
+    monkeypatch.setattr(cli, "design_layers", refuse)
+    monkeypatch.setattr(simulate, "design_layers", refuse)
+
+
+@pytest.mark.parametrize("command", ["design", "tradeoff"])
+def test_dimension_without_target_fails_before_layers(tmp_path, capsys, no_layer_design, command):
+    out = tmp_path / "out"
+    deltas = ["--delta", "0.12"] if command == "design" else ["--deltas", "0.12"]
+    assert main([command, "-N", "5", *deltas, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no built-in target lattice for torus dimension 5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "tradeoff"])
+@pytest.mark.parametrize("w_max", ["0", "-3"])
+def test_w_max_below_1_rejected_at_parse(tmp_path, capsys, no_layer_design, command, w_max):
+    out = tmp_path / "out"
+    deltas = ["--delta", "0.12"] if command == "design" else ["--deltas", "0.12"]
+    assert main([command, "-N", "3", *deltas, "-o", str(out), "--w-max", w_max]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: argument --w-max: must be >= 1, got {w_max}\n"
     assert not out.exists()

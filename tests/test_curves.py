@@ -31,7 +31,7 @@ from toruscodes import (
     shortest_vector,
     small_ball_bounds,
 )
-from toruscodes import curves, design_layers, design_scheme, simulate
+from toruscodes import curves, design_layers, design_scheme, lattices, simulate
 from toruscodes.curves import _lifting_windings, default_target
 from conftest import brute_projection_shortest, random_primitive, random_torus
 
@@ -494,3 +494,69 @@ def test_lifting_windings_exact_across_2_53_and_2_62():
     w, cs = search_best_w(torus, 1e-12, w_max=1_990_222)
     assert w == 1_990_222
     assert cs.u.tolist() == _python_winding(target, torus.c / torus.c[0], w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_line_vectors_are_a_basis_of_the_line_lattice(rng, n):
+    # exact integers: K n_j = e_j, (u, n_1, ..., n_m) is a basis of Z^N,
+    # and _line_lattice's rows are a unimodular integer change of the n_j
+    target = default_target(n)
+    m = n - 1
+    for _ in range(8):
+        torus = random_torus(rng, n)
+        c_scaled = torus.c / torus.c[0]
+        w = int(rng.integers(1, 3000))
+        a = curves._window_floors(target, c_scaled, [w])[0].tolist()
+        k = [[int(x) for x in a[i][: i + 1]] + [1] + [0] * (m - 1 - i) for i in range(m)]
+        u = _lifting_windings(target, c_scaled, [w])[0].tolist()
+        ns = [curves._line_vector(a, [int(i == j) for i in range(m)]) for j in range(m)]
+        for j, nj in enumerate(ns):
+            assert [sum(map(int.__mul__, ki, nj)) for ki in k] == [int(i == j) for i in range(m)]
+        assert abs(lattices._int_det([u] + ns)) == 1
+        kernel, _ = lattices._line_lattice(torus.c, u)
+        coeffs = []
+        for row in kernel:
+            beta = [sum(map(int.__mul__, ki, row)) for ki in k]
+            rest = [x - sum(b * nj[i] for b, nj in zip(beta, ns)) for i, x in enumerate(row)]
+            assert rest == [row[0] * x for x in u]  # a multiple of u: P(c*u) = 0
+            coeffs.append(beta)
+        assert abs(lattices._int_det(coeffs)) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+    log_r_min=st.floats(-3.0, -0.3),
+    w_max=st.integers(1, 400),
+)
+def test_certified_windows_are_rejected(n, c, log_r_min, w_max):
+    # every window the line-vector certificate rejects has spacing < r_min,
+    # so the exact path would have rejected it too
+    r_min = 10.0**log_r_min
+    c = np.array(c[:n])
+    torus = TorusSpec(c / np.linalg.norm(c))
+    certified = []
+    shorter_than = curves._shorter_than
+
+    def recorded(a, u, n_vec, bound):
+        if shorter_than(a, u, n_vec, bound):
+            certified.append(u)
+            return True
+        return False
+
+    with mock.patch.object(curves, "_shorter_than", recorded):
+        search_best_w(torus, r_min, w_max=w_max)
+    for u in certified:
+        assert line_spacing(torus, np.array(u)) < r_min
+
+
+def test_spacing_computed_once_per_designed_curve():
+    # at delta 0.12 the certificate rejects every window the exact path
+    # would: one exact spacing per curve, 23 at N=3 and 84 at N=4
+    with mock.patch.object(curves, "line_spacing", wraps=curves.line_spacing) as spacing:
+        schemes = [
+            design_scheme(design_layers(n, 0.12, min_coordinate=0.06), 0.12) for n in (3, 4)
+        ]
+    assert [s.n_layers for s in schemes] == [23, 84]
+    assert spacing.call_count == 107
