@@ -11,18 +11,23 @@ The scaled lifting construction generates winding vectors whose projection
 lattices converge (in Gram distance) to any chosen target lattice, which is
 how long curves with guaranteed spacing are found.  search_best_w looks for
 the largest window w whose curve keeps a spacing target, aiming at the
-densest lattice of rank N-1 in the _TARGETS table: it first drops
-whole ranges of windows whose interval bound on ||u_hat|| shows that a
-Hermite bound rules out every one of them, then computes the windings of
-the remaining windows block by block as integer arrays, and drops the
-windows the Hermite bound rules out.  A surviving window whose own lifting
-rows give a line vector shorter than the target (a certificate checked in
-exact integers) is rejected without a lattice reduction; the exact
-shortest-vector spacing runs only on the windows left, in descending w,
-until the first hit.
+densest lattice of rank N-1 in the _TARGETS table.  It cuts [1, w_max]
+into blocks of windows from the top down and drops every block whose
+interval bound on ||u_hat|| shows that a Hermite bound rules out all of
+its windows; then it computes the windings of the surviving blocks as
+integer arrays and drops the windows the Hermite bound rules out.  A
+surviving window whose own lifting rows give a line vector shorter than
+the target (a certificate checked in exact integers) is rejected without a
+lattice reduction; the exact shortest-vector spacing runs only on the
+windows left, in descending w, until the first hit.  _search_layers runs
+that search for every layer of a codebook at once: the block bounds of all
+layers in array passes of fixed size, and the windings, prune and
+certificate screen of one surviving block of many layers in one wave, so a
+codebook costs one batched search, not one per layer.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -290,11 +295,12 @@ def _check_lifting_args(target: TargetLattice, c, w: int) -> np.ndarray:
 def _window_floors(target: TargetLattice, c: np.ndarray, ws) -> np.ndarray:
     """Floor coefficients a[k, i, j] = floor((w_k * l[i][j]) * c[j]) as float64.
 
-    Shape (len(ws), m, m) for an m-d target; entries above the diagonal are
-    zero because the dual generator is lower triangular.
+    c is one scale vector, or one row per window.  Shape (len(ws), m, m) for
+    an m-d target; entries above the diagonal are zero because the dual
+    generator is lower triangular.
     """
     ws = np.asarray(ws, dtype=float)
-    return np.floor((ws[:, None, None] * target.dual_generator) * c[: target.dim])
+    return np.floor((ws[:, None, None] * target.dual_generator) * c[..., None, : target.dim])
 
 
 def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
@@ -317,27 +323,39 @@ def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
 _EXACT_BOUND = 2.0**61  # float bound on |u| beyond which windings use Python ints
 
 
+def _exact(a: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Integer-valued floors a as int64 or, where that could wrap, as exact
+    Python integers (dtype object).
+
+    size (shape (B, m, m)) bounds |a| row by row.  The float64 bound
+    B_0 = 1, B_{i+1} = size[i][0] + sum_{1 <= j <= i} size[i][j] B_j covers
+    every partial sum of the winding recursion on a; while it stays below
+    2**61 on every row, int64 cannot wrap.
+    """
+    m = size.shape[1]
+    bound = np.ones((size.shape[0], m + 1))
+    for i in range(m):
+        bound[:, i + 1] = size[:, i, 0] + (size[:, i, 1 : i + 1] * bound[:, 1 : i + 1]).sum(
+            axis=1
+        )
+    if np.all(bound < _EXACT_BOUND):
+        return a.astype(np.int64)
+    return np.frompyfunc(int, 1, 1)(a)
+
+
 def _lifting_windings(target: TargetLattice, c: np.ndarray, ws) -> np.ndarray:
-    """Lifted windings for a block of windows ws, shape (len(ws), N).
+    """Lifted windings for windows ws, shape (len(ws), N); c is one scale
+    vector, or one row per window.
 
     Row k is the winding of window ws[k]: u_1 = 1 and
     u_{i+1} = -(a[i][0] + sum_{1 <= j <= i} a[i][j] u_j), evaluated for all
-    rows at once.  A float64 bound B_{i+1} = |a[i][0]| + sum_j |a[i][j]| B_j
-    on |u| rides along; while it stays below 2**61 the recursion runs in
-    int64 and cannot wrap.  Otherwise the block runs on exact Python
-    integers (dtype object), so callers see the true entries, however large.
+    rows at once, in int64 where _exact's bound shows it cannot wrap and
+    otherwise on exact Python integers, so callers see the true entries,
+    however large.
     """
     a = _window_floors(target, c, ws)
+    a = _exact(a, np.abs(a))
     m = target.dim
-    bound = np.ones((a.shape[0], m + 1))
-    for i in range(m):
-        bound[:, i + 1] = np.abs(a[:, i, 0]) + (
-            np.abs(a[:, i, 1 : i + 1]) * bound[:, 1 : i + 1]
-        ).sum(axis=1)
-    if np.all(bound < _EXACT_BOUND):
-        a = a.astype(np.int64)
-    else:
-        a = np.frompyfunc(int, 1, 1)(a)
     u = np.empty((a.shape[0], m + 1), dtype=a.dtype)
     u[:, 0] = 1
     for i in range(m):
@@ -369,36 +387,47 @@ def lifting_winding(target: TargetLattice, c, w: int) -> np.ndarray:
     return out
 
 
-_SCAN_BLOCK = 256  # widest window range search_best_w scans as one block
+_SCAN_BLOCK = 256  # windows per block of the window search
+_BOUND_CHUNK = 2048  # most block range bounds the search evaluates in one array pass
+_WAVE = 4096  # most windows whose windings one wave of the search computes
 _SKIP_MARGIN = 1e-9  # relative slack for rounding in the per-window norm
 
 
-def _range_norm2_floor(target, c_scaled, c, lo: int, hi: int) -> float:
+def _range_norm2_floor(target, c_scaled, c, lo, hi):
     """Lower bound on the scan's ||u_hat||^2 for every window in [lo, hi].
 
-    Each floor a[i][j](w) is monotone in w (float rounding is monotone, so
-    the computed floors are too), so over the range it lies between its
-    values at lo and hi.  The winding recursion run once on those
-    intervals, in exact integers, gives an interval for each u_i, and
-    |u_i| is at least the smaller end's magnitude (0 for an interval that
-    contains 0).  The bound is shrunk by _SKIP_MARGIN to cover the float
-    rounding of the per-window norm.
+    lo and hi are one range, or arrays of ranges with one row of c_scaled
+    and c per range; the bound has the shape of lo.  Each floor a[i][j](w)
+    is monotone in w (float rounding is monotone, so the computed floors
+    are too), so over the range it lies between its values at lo and hi.
+    The winding recursion run once on those intervals, in integers (exact
+    by _exact's bound), gives an interval for each u_i, and |u_i| is at
+    least the smaller end's magnitude (0 for an interval that contains 0).
+    The bound is shrunk by _SKIP_MARGIN to cover the float rounding of the
+    per-window norm.
     """
-    a = _window_floors(target, c_scaled, [lo, hi])
-    a_lo, a_hi = np.minimum(a[0], a[1]).tolist(), np.maximum(a[0], a[1]).tolist()
-    box = [(1, 1)]
+    lo = np.asarray(lo)
+    f_lo = _window_floors(target, c_scaled, lo.reshape(-1))
+    f_hi = _window_floors(target, c_scaled, np.reshape(hi, -1))
+    a_lo, a_hi = _exact(
+        np.stack([np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)]),
+        np.maximum(np.abs(f_lo), np.abs(f_hi)),
+    )
+    one = np.ones(len(f_lo), dtype=a_lo.dtype)
+    box = [(one, one)]
     for i in range(target.dim):
-        low, high = int(a_lo[i][0]), int(a_hi[i][0])
+        low, high = a_lo[:, i, 0], a_hi[:, i, 0]
         for j in range(1, i + 1):
-            ends = [int(f) * u for f in (a_lo[i][j], a_hi[i][j]) for u in box[j]]
-            low += min(ends)
-            high += max(ends)
+            ends = [f * u for f in (a_lo[:, i, j], a_hi[:, i, j]) for u in box[j]]
+            low = low + np.minimum.reduce(ends)
+            high = high + np.maximum.reduce(ends)
         box.append((-high, -low))
     norm2 = 0.0
-    for cj, (low, high) in zip(c.tolist(), box):
-        if low > 0 or high < 0:
-            norm2 += (cj * min(abs(low), abs(high))) ** 2
-    return norm2 / (1.0 + _SKIP_MARGIN) ** 2
+    for j, (low, high) in enumerate(box):
+        gap = np.minimum(np.abs(low), np.abs(high)).astype(float)
+        term = np.float_power(c[..., j] * gap, 2.0)
+        norm2 = norm2 + np.where((low > 0) | (high < 0), term, 0.0)
+    return (norm2 / (1.0 + _SKIP_MARGIN) ** 2).reshape(lo.shape)[()]
 
 
 _CERT_MARGIN = 1e-9  # relative slack below r_min for a line vector to reject a window
@@ -424,10 +453,10 @@ def _line_vector(a, z) -> list[int]:
     return n
 
 
-def _screen_line_vectors(a, c: np.ndarray, bound2: float):
+def _screen_line_vectors(a, c: np.ndarray, bound2):
     """For windows with floors a (shape (B, m, m)): the z among _SIGNS[m]
     whose line vector P(c*n(z)) is shortest, and whether its float norm^2 is
-    below bound2.
+    below bound2.  c and bound2 are one torus's, or one row per window.
 
     The rows k_i / c lie in the hyperplane orthogonal to u_hat, and
     <k_i / c, P(c*n_j)> = (K n_j)_i = delta_ij, so the P(c*n_j) are their
@@ -442,7 +471,7 @@ def _screen_line_vectors(a, c: np.ndarray, bound2: float):
     k = np.zeros((a.shape[0], m, m + 1))
     k[:, :, :m] = a
     k[:, np.arange(m), np.arange(1, m + 1)] = 1.0
-    k /= c
+    k /= c[..., None, :]
     gram = np.linalg.inv(k @ k.transpose(0, 2, 1))
     norm2 = np.einsum("qi,bij,qj->bq", signs, gram, signs)
     best = norm2.argmin(axis=1)
@@ -470,26 +499,25 @@ def search_best_w(
 
     The lifting aims at the densest lattice of rank m = torus.dim - 1, the
     target of the _TARGETS row for m; a rank with no row raises ValueError.
-    Spacing is not provably monotone in w, so the scan walks w downward and
-    returns the first hit, which is exactly the largest feasible w.  A norm
-    bound prunes hopeless w without a shortest-vector computation: a rank-m
-    lattice of covolume V = prod(c) / ||u_hat|| has shortest vector at most
-    sqrt(g_m) * V^(1/m) with g_m the Hermite constant of the row, so any w
-    with g_m^(m/2) * V < r_min^m is skipped.
+    Spacing is not provably monotone in w, so the search takes the windows
+    in descending w and returns the first hit, which is exactly the largest
+    feasible w.  A norm bound prunes hopeless w without a shortest-vector
+    computation: a rank-m lattice of covolume V = prod(c) / ||u_hat|| has
+    shortest vector at most sqrt(g_m) * V^(1/m) with g_m the Hermite
+    constant of the row, so any w with g_m^(m/2) * V < r_min^m is skipped.
 
-    Whole ranges of windows are ruled out before any of their windings is
-    computed.  The range [1, w_max] is split in halves, upper half first;
-    a range whose interval bound on ||u_hat|| (_range_norm2_floor) shows that
-    the prune fires on every one of its windows is dropped, and a range of
-    at most _SCAN_BLOCK windows that is not is scanned as one block: its
-    windings and its prune are array operations.
+    The windows are cut into blocks of _SCAN_BLOCK from w_max down.  A
+    block whose interval bound on ||u_hat|| (_range_norm2_floor) shows that
+    the prune fires on every one of its windows is dropped before any of
+    its windings is computed; the windings and the prune of a surviving
+    block are array operations.
 
     A surviving window is rejected without its exact spacing when a short
     line vector proves it infeasible.  Its lifting rows K (K u = 0) give
     integer n(z) with K n(z) = z (_line_vector), and the P(c*n(e_j)) are a
     basis of its line lattice, close to the scaled target.  For each window
-    of an int64 block, the shortest P(c*n(z)) over z in {-1, 0, 1}^m (one
-    of each +-z) is found in float64 for the block at once
+    of a wave whose windings are int64, the shortest P(c*n(z)) over z in
+    {-1, 0, 1}^m (one of each +-z) is found in float64 for the wave at once
     (_screen_line_vectors) and confirmed in exact integers to be shorter
     than r_min*(1 - _CERT_MARGIN) (_shorter_than); then the true spacing is
     below r_min too.  The exact line spacing is computed only for the
@@ -497,63 +525,119 @@ def search_best_w(
     certified window could never be a hit, so the result is the one of a
     scan of every window.  Memory does not depend on w_max.
 
-    Returns None when no w in [1, w_max] is feasible.
+    Returns None when no w in [1, w_max] is feasible.  This is
+    _search_layers on one torus; design_scheme runs that on all the layers
+    of a codebook at once.
     """
-    if not r_min > 0.0:  # NaN included
+    return _search_layers([torus], [r_min], w_max)[0]
+
+
+def _search_layers(tori, r_mins, w_max: int) -> list:
+    """search_best_w(tori[k], r_mins[k], w_max) for every k, for tori of one
+    dimension, as array passes over all of them at once.
+
+    Each torus that has no surviving block queued gets the range bounds of
+    its next blocks, from the top down, _BOUND_CHUNK blocks in all per
+    pass.  Then a wave takes the next surviving block of as many tori
+    without a hit as fit in _WAVE windows (at least one), and computes
+    their windings, the prune and the line-vector screen as one array
+    pass.  Per torus, in descending w, it runs the exact steps up to the
+    first hit: the overflow check, the certificate, the exact spacing and
+    the ball bounds.  Each float entry is computed as a search of that
+    torus alone computes it, so every result is the one search_best_w
+    gives.  Memory is set by _BOUND_CHUNK and _WAVE, not by w_max or the
+    number of tori.
+    """
+    if not all(r_min > 0.0 for r_min in r_mins):  # NaN included
         raise ValueError("r_min must be positive")
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    c = torus.c
-    m = torus.dim - 1
-    target = default_target(torus.dim)
-    gamma = _TARGETS[m][1]
-    c_scaled = c / c[0]
-    prod_c = float(np.prod(c))
-    cert = r_min * (1.0 - _CERT_MARGIN)
-    # c = a_int / den exactly, and cert^2 * den^2 = cert_bound[0] / cert_bound[1]
-    a_int, den = _integer_scale(c)
-    p_cert, q_cert = cert.as_integer_ratio()
-    cert_bound = ((p_cert * den) ** 2, q_cert**2)
+    found = [None] * len(tori)
+    if not tori:
+        return found
+    m = tori[0].dim - 1
+    target = default_target(m + 1)
+    hermite = _TARGETS[m][1] ** (m / 2.0)
+    c = np.array([torus.c for torus in tori])
+    c_scaled = c / c[:, :1]
+    prod_c = np.array([float(np.prod(torus.c)) for torus in tori])
+    r_pow = np.array([r_min**m for r_min in r_mins])
+    cert = [r_min * (1.0 - _CERT_MARGIN) for r_min in r_mins]
+    cert2 = np.array([x**2 for x in cert])
+    # per torus (a_int, (p, q)): c = a_int / den exactly, and cert^2 * den^2 = p / q
+    certs = []
+    for torus, x in zip(tori, cert):
+        a_int, den = _integer_scale(torus.c)
+        p, q = x.as_integer_ratio()
+        certs.append((a_int, ((p * den) ** 2, q**2)))
 
-    def pruned(norm2):
+    def pruned(norm2, rows):
         # spacing provably below r_min where the bound fails
-        return gamma ** (m / 2.0) * (prod_c / np.sqrt(norm2)) < r_min**m
+        return hermite * (prod_c[rows] / np.sqrt(norm2)) < r_pow[rows]
 
-    ranges = [(1, int(w_max))]
-    while ranges:
-        lo, hi = ranges.pop()
-        if pruned(_range_norm2_floor(target, c_scaled, c, lo, hi)):
-            continue
-        if hi - lo >= _SCAN_BLOCK:
-            mid = (lo + hi) // 2
-            ranges += [(lo, mid), (mid + 1, hi)]
-            continue
-        ws = np.arange(hi, lo - 1, -1)
-        us = _lifting_windings(target, c_scaled, ws)
+    block = _SCAN_BLOCK
+    tops = np.full(len(tori), int(w_max))  # top window of each torus's next unbounded block
+    queues = [deque() for _ in tori]  # surviving (lo, hi) blocks, top down
+    todo = list(range(len(tori)))  # tori without a hit that have windows left
+    while todo:
+        while True:
+            need = np.array([k for k in todo if not queues[k] and tops[k]], dtype=np.intp)
+            if not need.size:
+                break
+            # the next blocks of each torus in need, top down, _BOUND_CHUNK in all
+            counts = np.minimum(max(1, _BOUND_CHUNK // need.size), -(-tops[need] // block))
+            rows = np.repeat(need, counts)
+            below = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            his = tops[rows] - block * below
+            los = np.maximum(his - block + 1, 1)
+            tops[need] = np.maximum(tops[need] - block * counts, 0)
+            bound = _range_norm2_floor(target, c_scaled[rows], c[rows], los, his)
+            alive = np.flatnonzero(~pruned(bound, rows))
+            for k, lo, hi in zip(rows[alive].tolist(), los[alive].tolist(), his[alive].tolist()):
+                queues[k].append((lo, hi))
+        todo = [k for k in todo if queues[k]]  # the others have no feasible window
+        if not todo:
+            break
+        wave, size = [], 0
+        for k in todo:
+            lo, hi = queues[k][0]
+            if wave and size + hi - lo + 1 > _WAVE:
+                break
+            wave.append(k)
+            size += hi - lo + 1
+        spans = [queues[k].popleft() for k in wave]
+        ws = np.concatenate([np.arange(hi, lo - 1, -1) for lo, hi in spans])
+        rows = np.repeat(wave, [hi - lo + 1 for lo, hi in spans])
+        us = _lifting_windings(target, c_scaled[rows], ws)
         # ||u_hat||^2 summed term by term in index order; Python's x**2 is
         # libm pow, which float_power calls too (x*x can differ in the last
         # bit)
         uf = us.astype(float)
-        norm2 = np.float_power(c[0] * uf[:, 0], 2.0)
+        norm2 = np.float_power(c[rows, 0] * uf[:, 0], 2.0)
         for i in range(1, m + 1):
-            norm2 = norm2 + np.float_power(c[i] * uf[:, i], 2.0)
-        keep = np.flatnonzero(~pruned(norm2))
+            norm2 = norm2 + np.float_power(c[rows, i] * uf[:, i], 2.0)
+        keep = np.flatnonzero(~pruned(norm2, rows))
         if keep.size and us.dtype != object:
-            floors = _window_floors(target, c_scaled, ws[keep])
-            zs, screened = _screen_line_vectors(floors, c, cert**2)
+            floors = _window_floors(target, c_scaled[rows[keep]], ws[keep])
+            zs, screened = _screen_line_vectors(floors, c[rows[keep]], cert2[rows[keep]])
         else:
             screened = np.zeros(keep.size, dtype=bool)
-        for i, k in enumerate(keep):
+        for i, k in enumerate(keep.tolist()):
+            t = rows[k]
+            if found[t] is not None:
+                continue  # this torus already has its hit, at a larger w
             u = _checked_winding(us[k])
+            a_int, cert_bound = certs[t]
             if screened[i] and _shorter_than(
                 a_int, u.tolist(), _line_vector(floors[i].tolist(), zs[i].tolist()), cert_bound
             ):
                 continue  # a line vector of the window proves its spacing < r_min
-            cs = CurveSpec(torus, u)
-            if cs.spacing >= r_min:
+            cs = CurveSpec(tori[t], u)
+            if cs.spacing >= r_mins[t]:
                 try:
                     cs.ball_lower
                 except OutOfRangeError:
                     continue  # spacing beyond the ball-bound window; try smaller w
-                return int(ws[k]), cs
-    return None
+                found[t] = (int(ws[k]), cs)
+        todo = [k for k in todo if found[k] is None]
+    return found

@@ -7,17 +7,28 @@ Results are therefore bit-identical for any worker count, and the raw
 streams are locked by a golden-vector test.
 """
 
+from __future__ import annotations
+
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
-from .curves import CurveSpec, ball_radius_to_spacing, default_target, search_best_w
+from .curves import (  # noqa: F401
+    CurveSpec,
+    _search_layers,
+    ball_radius_to_spacing,
+    default_target,
+    search_best_w,
+)
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
 from .torus import TorusSpec, intra_torus_distance
+
+# search_best_w stays importable from here, though design_scheme calls
+# _search_layers: perfbench/traced.py wraps it by name.
 
 __all__ = [
     "SimConfig",
@@ -45,6 +56,11 @@ BLOCK = 4096  # trials per RNG block; changing it changes the streams
 _TWO_PI = 2.0 * math.pi
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo run of the uniform source: noise level, trial count,
@@ -57,8 +73,12 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and nonnegative")
+        if not _is_int(self.trials):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -120,11 +140,13 @@ def run_mse(scheme: SchemeCode, config: SimConfig, workers: int = 1) -> SimResul
     Deterministic given (scheme, config), independent of workers: trials are
     split into fixed blocks with per-block streams and merged in block order.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = config.trials
     blocks = [(b, min(BLOCK, n - b * BLOCK)) for b in range((n + BLOCK - 1) // BLOCK)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(
                 pool.map(
@@ -239,25 +261,26 @@ def design_scheme(
 ) -> SchemeCode:
     """Design one curve per layer with small-ball radius at least delta.
 
-    Layers that cannot host a feasible curve are skipped.  Raises if the
-    layers are closer than 2*delta (the constructor's slack of 1e-12), since
-    the scheme's ball radius is capped at half their separation, or if no
-    layer remains.  Each curve keeps a seam arc of 2*delta unused, so the two
-    ends of its subinterval are as far apart as neighboring folds.
+    Each layer's curve is the one search_best_w finds for the spacing that
+    the radius needs on that layer; one batched search (_search_layers)
+    finds them for all layers at once.  Layers that cannot host a feasible
+    curve are skipped.  Raises if the layers are closer than 2*delta (the
+    constructor's slack of 1e-12), since the scheme's ball radius is capped
+    at half their separation, or if no layer remains.  Each curve keeps a
+    seam arc of 2*delta unused, so the two ends of its subinterval are as
+    far apart as neighboring folds.
     """
     if codebook.achieved_sep < 2.0 * delta - 1e-12:
         raise InfeasibleDesignError(
             f"codebook layers are {codebook.achieved_sep} apart, below 2*delta = {2.0 * delta}"
         )
-    curves = []
+    hosts, r_mins = [], []
     for torus in codebook.layers:
         r_min = ball_radius_to_spacing(torus, delta)
-        if r_min is None:
-            continue
-        found = search_best_w(torus, r_min, w_max=w_max)
-        if found is None:
-            continue
-        curves.append(found[1])
+        if r_min is not None:
+            hosts.append(torus)
+            r_mins.append(r_min)
+    curves = [found[1] for found in _search_layers(hosts, r_mins, w_max) if found is not None]
     if not curves:
         raise InfeasibleDesignError(f"no layer supports a curve with ball radius {delta}")
     return build_scheme(curves, alpha=alpha, guard=2.0 * delta)

@@ -320,6 +320,15 @@ def test_simulate_rejects_fewer_than_one_worker(scheme_file, capsys, workers):
     assert "Traceback" not in err and out == ""
 
 
+def test_simulate_rejects_negative_seed(scheme_file, capsys):
+    argv = ["simulate", "-s", str(scheme_file), "--sigma", "0.01", "--trials", "10"]
+    code = main(argv + ["--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: seed must be a nonnegative integer")
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_simulate_rejects_non_finite_sigma(scheme_file, capsys, sigma):
     argv = ["simulate", "-s", str(scheme_file), "--sigma", sigma, "--trials", "10", "--seed", "1"]
@@ -375,6 +384,18 @@ def test_console_entrypoint_subprocess(scheme_file):
     assert proc2.returncode == 0
     mse = float(proc2.stdout.splitlines()[1].split(",")[1])
     assert mse <= 1e-18
+
+
+def test_cli_import_loads_no_random_or_thread_pool():
+    # encode and decode draw no random number and start no thread, so the
+    # CLI imports numpy.random and concurrent.futures only where it uses them
+    code = (
+        "import sys, toruscodes.cli; "
+        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_log_env_var(scheme_file, monkeypatch, capsys):

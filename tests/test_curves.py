@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -443,25 +444,92 @@ def test_range_bound_is_sound(n, c, log_r_min, hi, frac):
 
 
 def test_search_skips_pruned_ranges():
-    # the scan computes the windings of few of the windows it rules out
+    # the search computes the windings of few of the windows it rules out
     logical, rows = [], []
-    search, windings = simulate.search_best_w, curves._lifting_windings
+    search, windings = simulate._search_layers, curves._lifting_windings
 
-    def counted_search(torus, r_min, w_max):
-        found = search(torus, r_min, w_max=w_max)
-        logical.append(w_max if found is None else w_max - found[0] + 1)
+    def counted_search(tori, r_mins, w_max):
+        found = search(tori, r_mins, w_max)
+        logical.extend(w_max if f is None else w_max - f[0] + 1 for f in found)
         return found
 
     def counted_windings(target, c, ws):
         rows.append(len(ws))
         return windings(target, c, ws)
 
-    with mock.patch.object(simulate, "search_best_w", counted_search), mock.patch.object(
+    with mock.patch.object(simulate, "_search_layers", counted_search), mock.patch.object(
         curves, "_lifting_windings", counted_windings
     ):
         design_scheme(design_layers(4, 0.12, min_coordinate=0.06), 0.12)
     assert len(logical) == 85
     assert 0 < sum(rows) < 0.05 * sum(logical)
+
+
+def _outcome(found):
+    return None if found is None else (found[0], found[1].to_dict())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    cs=st.lists(st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4), min_size=1, max_size=6),
+    log_r_mins=st.lists(st.floats(-3.0, -0.3), min_size=6, max_size=6),
+    w_max=st.integers(1, 400),
+)
+def test_batch_search_matches_per_torus_search(n, cs, log_r_mins, w_max):
+    # one batched search over many tori (some with no feasible window) gives
+    # each torus its own result, also when small blocks, waves and bound
+    # chunks split the search into many passes
+    tori = [TorusSpec(np.array(c[:n]) / np.linalg.norm(c[:n])) for c in cs]
+    r_mins = [10.0**x for x in log_r_mins[: len(tori)]]
+    want = [_outcome(search_best_w(t, r, w_max=w_max)) for t, r in zip(tori, r_mins)]
+    for block, wave, chunk in ((256, 4096, 2048), (7, 14, 3), (2, 2, 1)):
+        with mock.patch.multiple(curves, _SCAN_BLOCK=block, _WAVE=wave, _BOUND_CHUNK=chunk):
+            got = curves._search_layers(tori, r_mins, w_max)
+        assert [_outcome(f) for f in got] == want
+
+
+def test_batch_search_on_exact_integers():
+    # the N=4 torus of the overflow test below needs Python-int windings at
+    # the top of its range; it shares the search with a torus that hits
+    # there too, one that hits far lower and one with no feasible window
+    tori = [
+        TorusSpec(np.array(c) / np.linalg.norm(c))
+        for c in ([1.0, 1.3, 0.9, 1.1], [2.0, 1.0, 1.0, 1.0], [1.0] * 4, [0.6, 0.5, 0.4, 0.48])
+    ]
+    r_mins = [1e-12, 1e-12, 0.02, 0.9]
+    w_max = 1_990_222
+    want = [_outcome(search_best_w(t, r, w_max=w_max)) for t, r in zip(tori, r_mins)]
+    assert [w for w, _ in want[:3]] == [w_max, w_max, 34] and want[3] is None
+    dtypes = []
+
+    def recorded(target, c, ws):
+        us = _lifting_windings(target, c, ws)
+        dtypes.append(us.dtype)
+        return us
+
+    for block in (256, 7, 2):
+        dtypes.clear()
+        with mock.patch.object(curves, "_SCAN_BLOCK", block), mock.patch.object(
+            curves, "_lifting_windings", recorded
+        ):
+            got = curves._search_layers(tori, r_mins, w_max)
+        assert [_outcome(f) for f in got] == want
+        assert dtypes[0] == object
+
+
+def test_search_memory_does_not_grow_with_w_max():
+    # bound chunks and waves have fixed sizes, so the peak stays bounded
+    # whatever w_max and the number of layers
+    book = design_layers(4, 0.12, min_coordinate=0.06)
+    for w_max in (10_000, 200_000):
+        tracemalloc.start()
+        try:
+            design_scheme(book, 0.12, w_max=w_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 def test_lifting_windings_exact_across_2_53_and_2_62():

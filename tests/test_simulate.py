@@ -100,6 +100,24 @@ def test_config_rejects_non_finite_sigma(sigma):
         SimConfig(sigma=sigma, trials=10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("trials", 2.5, "trials must be an integer"),
+        ("trials", True, "trials must be an integer"),
+        ("trials", "10", "trials must be an integer"),
+        ("seed", -1, "seed must be a nonnegative integer"),
+        ("seed", 1.0, "seed must be a nonnegative integer"),
+        ("seed", False, "seed must be a nonnegative integer"),
+        ("seed", np.int64(-3), "seed must be a nonnegative integer"),
+    ],
+)
+def test_config_rejects_non_integer_trials_and_bad_seed(field, value, message):
+    kwargs = {"sigma": 0.1, "trials": 10, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)
+
+
 def test_scheme_file_derived_keys_are_not_read(scheme):
     # a curve is (c, u): length, spacing and the ball bounds in a scheme
     # file are written for readers and derived again on load
@@ -142,6 +160,18 @@ def test_run_mse_deterministic_and_worker_invariant(scheme):
 def test_run_mse_rejects_fewer_than_one_worker(scheme, workers):
     with pytest.raises(ValueError, match="workers"):
         run_mse(scheme, SimConfig(sigma=0.0, trials=10, seed=1), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2"])
+def test_run_mse_rejects_non_integer_workers(scheme, workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_mse(scheme, SimConfig(sigma=0.0, trials=10, seed=1), workers=workers)
+
+
+def test_run_mse_accepts_numpy_integers(scheme):
+    plain = run_mse(scheme, SimConfig(sigma=0.02, trials=5000, seed=4), workers=2)
+    config = SimConfig(sigma=0.02, trials=np.int64(5000), seed=np.uint32(4))
+    assert run_mse(scheme, config, workers=np.int32(2)) == plain
 
 
 def test_mse_monotone_in_sigma(scheme):
