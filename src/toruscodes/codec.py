@@ -19,10 +19,12 @@ cannot certify.  Its work does not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
-to x.  The scalar functions wrap the stages of decode_batch.
+to x.  decode_batch is the one decoder: decode runs it on a single row, and
+decode_exhaustive_batch is the grid oracle it is checked against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
 from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice
-from .torus import TorusSpec, _embed, embed, inter_torus_distance, min_separation  # noqa: F401
+from .torus import _embed, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
 # nothing here calls them: perfbench/traced.py wraps both by name.
@@ -39,18 +41,11 @@ __all__ = [
     "SchemeCode",
     "DecodeResult",
     "OpCounter",
-    "AmbiguousPhaseError",
-    "UndecodableError",
     "build_scheme",
     "encode",
     "encode_batch",
-    "extract_polar",
-    "nearest_layer",
-    "project_to_torus",
-    "decode_on_torus",
     "decode",
     "decode_batch",
-    "decode_exhaustive",
     "decode_exhaustive_batch",
 ]
 
@@ -59,14 +54,6 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
 # received rows per grid scan of decode_exhaustive_batch, bounding its
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
-
-
-class AmbiguousPhaseError(ValueError):
-    """A coordinate pair has zero magnitude; its phase is undefined."""
-
-
-class UndecodableError(ValueError):
-    """The received vector carries no usable direction information."""
 
 
 class OpCounter:
@@ -216,6 +203,11 @@ class DecodeResult:
     phase_fallback: bool = False
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -255,20 +247,6 @@ def _polar(y):
     return gamma, ang, zero
 
 
-def extract_polar(y, strict: bool = True):
-    """Per-pair magnitude gamma_i and phase theta_i = angle_i * gamma_i.
-
-    The full two-argument angle is used, so lower-half-plane pairs recover
-    phases in (pi*gamma_i, 2*pi*gamma_i).  With strict=True a zero magnitude
-    raises; otherwise its phase falls back to 0 and the caller sees the flag
-    through the zero magnitude itself.
-    """
-    gamma, ang, zero = _polar(y)
-    if strict and np.any(zero):
-        raise AmbiguousPhaseError("zero magnitude pair: phase undefined")
-    return gamma, ang * gamma
-
-
 def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
@@ -277,23 +255,6 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
     safe = np.where(norms > 0.0, norms, 1.0)
     return ((gamma / safe[:, None]) @ scheme._radii.T).argmax(axis=1)
-
-
-def nearest_layer(scheme: SchemeCode, gamma) -> int:
-    """Index of the layer whose c-vector is closest to the direction of gamma."""
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.any(gamma):
-        raise UndecodableError("zero magnitude vector")
-    return int(_nearest_layers(scheme, gamma[None, :])[0])
-
-
-def project_to_torus(layer: TorusSpec, gamma, theta) -> np.ndarray:
-    """Nearest point of the torus to y, reconstructed from its polar data; a
-    zero pair takes angle 0."""
-    gamma = np.asarray(gamma, dtype=float)
-    nonzero = gamma > 0.0
-    angles = np.where(nonzero, np.asarray(theta, dtype=float) / np.where(nonzero, gamma, 1.0), 0.0)
-    return embed(layer, angles * layer.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,15 +351,15 @@ class _LineLattices:
         return rows * (n * m + m * m + m + m * n + 2 * n) + nodes * n
 
 
-def decode_on_torus(cs: CurveSpec, theta, counter: OpCounter | None = None) -> float:
-    """Parameter in [0, 1) of the curve point closest to the box point theta
-    in the wrapped flat metric."""
-    angles = np.asarray(theta, dtype=float) / cs.torus.c
-    lines = _LineLattices.build([cs])
-    t, nodes = lines.locate(np.zeros(1, dtype=np.int64), angles[None, :])
-    if counter is not None:
-        counter.add(lines.mults(1, nodes))
-    return float(t[0])
+def _received(scheme: SchemeCode, ys) -> np.ndarray:
+    """ys as float received vectors of shape (B, 2N), all finite."""
+    ys = np.asarray(ys, dtype=float)
+    expected = 2 * scheme.dim
+    if ys.ndim != 2 or ys.shape[1] != expected:
+        raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
+    if not np.isfinite(ys).all():
+        raise ValueError("received vectors must be finite")
+    return ys
 
 
 def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
@@ -408,12 +369,7 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     rows (all magnitudes zero) decode to 0 with layer -1 and are flagged
     rather than raised, so Monte Carlo runs survive pathological inputs.
     """
-    ys = np.asarray(ys, dtype=float)
-    expected = 2 * scheme.dim
-    if ys.ndim != 2 or ys.shape[1] != expected:
-        raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
-    if not np.isfinite(ys).all():
-        raise ValueError("received vectors must be finite")
+    ys = _received(scheme, ys)
     gamma, angles, zero = _polar(ys)
     undecodable = zero.all(axis=1)
     fallback = zero.any(axis=1) & ~undecodable
@@ -474,9 +430,9 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     product argmax.  A golden-section pass around the best grid point
     sharpens the estimate to machine precision within one grid cell.
     """
-    if grid < 1000:
-        raise ValueError("grid must be at least 1000")
-    ys = np.asarray(ys, dtype=float)
+    if not (_is_int(grid) and grid >= 1000):
+        raise ValueError("grid must be an integer of at least 1000")
+    ys = _received(scheme, ys)
     xs_grid = _grid_points(grid)
     codebook = encode_batch(scheme, xs_grid)  # (G, 2N)
     b = ys.shape[0]
@@ -493,8 +449,3 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
         np.minimum(x0 + 1.0 / grid, _BELOW_ONE),
     )
     return np.minimum(out, _BELOW_ONE)
-
-
-def decode_exhaustive(scheme: SchemeCode, y, grid: int = 100_000) -> float:
-    y = np.asarray(y, dtype=float)
-    return float(decode_exhaustive_batch(scheme, y[None, :], grid=grid)[0])

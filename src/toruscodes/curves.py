@@ -515,15 +515,16 @@ def search_best_w(
     A surviving window is rejected without its exact spacing when a short
     line vector proves it infeasible.  Its lifting rows K (K u = 0) give
     integer n(z) with K n(z) = z (_line_vector), and the P(c*n(e_j)) are a
-    basis of its line lattice, close to the scaled target.  For each window
-    of a wave whose windings are int64, the shortest P(c*n(z)) over z in
-    {-1, 0, 1}^m (one of each +-z) is found in float64 for the wave at once
-    (_screen_line_vectors) and confirmed in exact integers to be shorter
-    than r_min*(1 - _CERT_MARGIN) (_shorter_than); then the true spacing is
-    below r_min too.  The exact line spacing is computed only for the
-    windows left, in descending w, until the first hit.  A dropped or
-    certified window could never be a hit, so the result is the one of a
-    scan of every window.  Memory does not depend on w_max.
+    basis of its line lattice, close to the scaled target.  For each window,
+    the shortest P(c*n(z)) over z in {-1, 0, 1}^m (one of each +-z) is
+    found in float64 for the wave at once (_screen_line_vectors), whatever
+    the dtype of its windings (the floors are float64 either way), and
+    confirmed in exact integers to be shorter than r_min*(1 - _CERT_MARGIN)
+    (_shorter_than); then the true spacing is below r_min too.  The exact
+    line spacing is computed only for the windows left, in descending w,
+    until the first hit.  A dropped or certified window could never be a
+    hit, so the result is the one of a scan of every window.  Memory does
+    not depend on w_max.
 
     Returns None when no w in [1, w_max] is feasible.  This is
     _search_layers on one torus; design_scheme runs that on all the layers
@@ -617,7 +618,7 @@ def _search_layers(tori, r_mins, w_max: int) -> list:
         for i in range(1, m + 1):
             norm2 = norm2 + np.float_power(c[rows, i] * uf[:, i], 2.0)
         keep = np.flatnonzero(~pruned(norm2, rows))
-        if keep.size and us.dtype != object:
+        if keep.size:
             floors = _window_floors(target, c_scaled[rows[keep]], ws[keep])
             zs, screened = _screen_line_vectors(floors, c[rows[keep]], cert2[rows[keep]])
         else:

@@ -10,12 +10,11 @@ streams are locked by a golden-vector test.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
+from .codec import SchemeCode, _golden_section, _is_int, build_scheme, decode_batch, encode_batch
 from .curves import (  # noqa: F401
     CurveSpec,
     _search_layers,
@@ -54,11 +53,6 @@ class InfeasibleDesignError(ValueError):
 BLOCK = 4096  # trials per RNG block; changing it changes the streams
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

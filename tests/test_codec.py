@@ -10,34 +10,27 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from toruscodes import (
-    AmbiguousPhaseError,
     CurveSpec,
     OpCounter,
     SchemeCode,
     TorusSpec,
-    UndecodableError,
     build_scheme,
     decode,
     decode_batch,
-    decode_exhaustive,
     decode_exhaustive_batch,
-    decode_on_torus,
     design_layers,
     design_scheme,
     embed,
     encode,
     encode_batch,
-    extract_polar,
     fcc_target,
     lifting_winding,
     make_curve,
-    nearest_layer,
-    project_to_torus,
     projection_lattice_basis,
     reduce_to_box,
     search_best_w,
 )
-from toruscodes.codec import _LineLattices
+from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
 
 SQ3 = math.sqrt(3.0)
@@ -150,10 +143,12 @@ def test_energy_constraint(scheme_multi, rng):
 
 
 def test_extract_polar_roundtrip(scheme_multi, rng):
+    # the angles of an encoded point, scaled by its layer's c, are its box point
     s = scheme_multi
     xs = rng.random(200)
     ys = encode_batch(s, xs)
-    gamma, theta = extract_polar(ys)
+    gamma, ang, zero = _polar(ys)
+    assert not zero.any()
     ks = np.searchsorted(s.breakpoints, xs, side="right")
     for i in range(200):
         cs = s.curves[ks[i]]
@@ -163,39 +158,39 @@ def test_extract_polar_roundtrip(scheme_multi, rng):
         g = s.guard / cs.length
         local = g / 2.0 + (1.0 - g) * local
         box = reduce_to_box(cs.torus, 2 * math.pi * local * cs.u_hat)
-        assert np.allclose(theta[i], box, atol=1e-9)
+        assert np.allclose(ang[i] * cs.torus.c, box, atol=1e-9)
 
 
 def test_extract_polar_signs_and_zero():
-    gamma, theta = extract_polar(np.array([1.0, 0.0, 0.0, 1.0]))
-    assert np.allclose(gamma, [1.0, 1.0])
-    assert abs(theta[0]) < 1e-15
-    assert abs(theta[1] - math.pi / 2.0) < 1e-15
+    gamma, ang, zero = _polar(np.array([1.0, 0.0, 0.0, 1.0]))
+    assert np.allclose(gamma, [1.0, 1.0]) and not zero.any()
+    assert abs(ang[0]) < 1e-15
+    assert abs(ang[1] - math.pi / 2.0) < 1e-15
     # lower half-plane recovers an angle in (pi, 2 pi)
-    _, theta2 = extract_polar(np.array([0.5, -0.5, 1.0, 0.0]))
-    g0 = math.hypot(0.5, 0.5)
-    assert math.pi * g0 < theta2[0] < 2 * math.pi * g0
-    with pytest.raises(AmbiguousPhaseError):
-        extract_polar(np.array([0.0, 0.0, 1.0, 0.0]))
-    gamma3, theta3 = extract_polar(np.array([0.0, 0.0, 1.0, 0.0]), strict=False)
-    assert gamma3[0] == 0.0 and theta3[0] == 0.0
+    _, ang2, _ = _polar(np.array([0.5, -0.5, 1.0, 0.0]))
+    assert math.pi < ang2[0] < 2 * math.pi
+    # a zero pair takes angle 0 and is masked, whatever the sign of its zeros
+    for y in ([0.0, 0.0, 1.0, 0.0], [-0.0, -0.0, 1.0, 0.0]):
+        gamma3, ang3, zero3 = _polar(np.array(y))
+        assert gamma3[0] == 0.0 and ang3[0] == 0.0
+        assert zero3.tolist() == [True, False]
 
 
 def test_nearest_layer(scheme_multi, rng):
     s = scheme_multi
-    for k in range(s.n_layers):
-        assert nearest_layer(s, s.curves[k].torus.c) == k
-    mid = s.curves[0].torus.c + s.curves[1].torus.c
-    assert nearest_layer(s, mid) in (0, 1)  # tie resolved deterministically
-    assert nearest_layer(s, mid) == nearest_layer(s, mid)
-    with pytest.raises(UndecodableError):
-        nearest_layer(s, np.zeros(3))
+    radii = np.stack([cs.torus.c for cs in s.curves])
+    assert np.array_equal(_nearest_layers(s, radii), np.arange(s.n_layers))
+    mid = (s.curves[0].torus.c + s.curves[1].torus.c)[None, :]
+    assert _nearest_layers(s, mid)[0] in (0, 1)  # tie resolved deterministically
+    assert _nearest_layers(s, mid)[0] == _nearest_layers(s, mid)[0]
+    # an all-zero row gets layer 0, which decode_batch masks as undecodable
+    assert _nearest_layers(s, np.zeros((1, 3)))[0] == 0
+    _, layer, undec, _ = decode_batch(s, np.zeros((1, 6)))
+    assert layer.tolist() == [-1] and undec.tolist() == [True]
     xs = rng.random(300)
-    ys = encode_batch(s, xs)
-    gamma, _ = extract_polar(ys)
+    gamma, _, _ = _polar(encode_batch(s, xs))
     ks = np.searchsorted(s.breakpoints, xs, side="right")
-    for i in range(300):
-        assert nearest_layer(s, gamma[i]) == ks[i]
+    assert np.array_equal(_nearest_layers(s, gamma), ks)
 
 
 def test_nearest_layer_tie_prefers_first():
@@ -205,55 +200,35 @@ def test_nearest_layer_tie_prefers_first():
     cs2 = make_curve(t2, [3, 4])
     s = build_scheme([cs1, cs2])
     mid = (t1.c + t2.c) / 2.0
-    assert nearest_layer(s, mid) == 0
+    assert _nearest_layers(s, mid[None, :])[0] == 0
+    y = np.array([[mid[0], 0.0, mid[1], 0.0]])  # pair magnitudes mid
+    assert decode_batch(s, y)[1].tolist() == [0]
 
 
-def test_project_to_torus(rng):
-    t = TorusSpec(np.array([0.5, 0.5, math.sqrt(0.5)]))
-    # on-torus points are fixed
-    u = rng.uniform(0, 1, size=3) * t.box_periods
-    y = embed(t, u)
-    gamma, theta = extract_polar(y)
-    assert np.allclose(project_to_torus(t, gamma, theta), y, atol=1e-12)
-    # radial per-pair scaling leaves the projection unchanged
-    y_scaled = y.copy()
-    y_scaled[0:2] *= 3.0
-    y_scaled[4:6] *= 0.25
-    gamma2, theta2 = extract_polar(y_scaled)
-    assert np.allclose(project_to_torus(t, gamma2, theta2), y, atol=1e-12)
-
-
-def test_project_to_torus_is_nearest(rng):
-    t = TorusSpec(np.array([0.5, 0.5, math.sqrt(0.5)]))
-    samples = embed(t, rng.uniform(0, 1, size=(10_000, 3)) * t.box_periods)
-    for _ in range(20):
-        y = rng.standard_normal(6)
-        gamma, theta = extract_polar(y)
-        ybar = project_to_torus(t, gamma, theta)
-        sampled_min = float(np.linalg.norm(samples - y, axis=1).min())
-        assert np.linalg.norm(y - ybar) <= sampled_min + 1e-9
+def _decode_on_torus(cs, boxes, counter=None):
+    """decode_batch of the one-curve, guard-0 scheme on the torus points at
+    box points boxes (B, N): x_hat is the parameter of the closest line."""
+    return decode_batch(build_scheme([cs]), embed(cs.torus, boxes), counter=counter)[0]
 
 
 def test_decode_on_torus_exact(rng, scheme_m1):
     cs = scheme_m1.curves[0]
     xs = rng.random(100)
-    for x in xs:
-        box = reduce_to_box(cs.torus, 2 * math.pi * x * cs.u_hat)
-        assert abs(decode_on_torus(cs, box) - x) < 1e-9
+    boxes = reduce_to_box(cs.torus, 2 * math.pi * xs[:, None] * cs.u_hat)
+    assert np.abs(_decode_on_torus(cs, boxes) - xs).max() < 1e-9
 
 
 def test_decode_on_torus_orthogonal_perturbation(rng, scheme_m1):
     cs = scheme_m1.curves[0]
     direction = cs.u_hat / np.linalg.norm(cs.u_hat)
-    for _ in range(50):
-        x = float(rng.uniform(0.1, 0.9))
-        perp = rng.standard_normal(3)
-        perp -= (perp @ direction) * direction
-        perp /= np.linalg.norm(perp)
-        eps = 0.4 * cs.spacing
-        box = reduce_to_box(cs.torus, 2 * math.pi * x * cs.u_hat + eps * perp)
-        got = decode_on_torus(cs, box)
-        assert abs(got - x) <= eps / cs.length + 1e-9
+    xs = rng.uniform(0.1, 0.9, size=50)
+    perp = rng.standard_normal((50, 3))
+    perp -= np.outer(perp @ direction, direction)
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    eps = 0.4 * cs.spacing
+    boxes = reduce_to_box(cs.torus, 2 * math.pi * xs[:, None] * cs.u_hat + eps * perp)
+    got = _decode_on_torus(cs, boxes)
+    assert np.abs(got - xs).max() <= eps / cs.length + 1e-9
 
 
 def _flat_distance_profile(cs, point, xs):
@@ -266,9 +241,8 @@ def _flat_distance_profile(cs, point, xs):
 def test_decode_on_torus_vs_dense_grid(rng, scheme_m1):
     cs = scheme_m1.curves[0]
     grid = np.arange(1_000_000) / 1_000_000
-    for _ in range(20):
-        p = rng.uniform(0, 1, size=3) * cs.torus.box_periods
-        x_hat = decode_on_torus(cs, p)
+    points = rng.uniform(0, 1, size=(20, 3)) * cs.torus.box_periods
+    for p, x_hat in zip(points, _decode_on_torus(cs, points)):
         prof = _flat_distance_profile(cs, p, grid)
         best = float(prof.min())
         got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
@@ -354,8 +328,23 @@ def test_decode_exhaustive_matches_noiseless(scheme_m1, rng):
     ys = encode_batch(s, xs)
     ml = decode_exhaustive_batch(s, ys, grid=20_000)
     assert np.max(np.abs(ml - xs)) < 1e-6
-    one = decode_exhaustive(s, ys[0], grid=20_000)
-    assert abs(one - xs[0]) < 1e-6
+    one = decode_exhaustive_batch(s, ys[:1], grid=20_000)
+    assert abs(one[0] - xs[0]) < 1e-6
+
+
+def test_decode_exhaustive_batch_checks_its_input(scheme_m1):
+    s = scheme_m1
+    ys = encode_batch(s, np.array([0.3]))
+    with pytest.raises(ValueError, match="finite"):
+        decode_exhaustive_batch(s, np.full_like(ys, np.nan), grid=1000)
+    with pytest.raises(ValueError, match=r"shape \(B, 6\), got \(1, 8\)"):
+        decode_exhaustive_batch(s, np.ones((1, 8)), grid=1000)
+    with pytest.raises(ValueError, match=r"shape \(B, 6\), got \(6,\)"):
+        decode_exhaustive_batch(s, ys[0], grid=1000)
+    for grid in (1000.5, 1000.0, True, "1000", 999):
+        with pytest.raises(ValueError, match="grid"):
+            decode_exhaustive_batch(s, ys, grid=grid)
+    assert abs(decode_exhaustive_batch(s, ys, grid=np.int64(1000))[0] - 0.3) < 1e-6
 
 
 def test_decode_exhaustive_is_ml(scheme_m1, rng):
@@ -400,7 +389,7 @@ def test_decode_on_torus_random_curves(rng):
         except Exception:
             continue
         p = rng.uniform(0, 1, size=n) * t.box_periods
-        x_hat = decode_on_torus(cs, p)
+        x_hat = _decode_on_torus(cs, p[None, :])[0]
         grid = np.arange(200_000) / 200_000
         prof = _flat_distance_profile(cs, p, grid)
         got = float(_flat_distance_profile(cs, p, np.array([x_hat]))[0])
@@ -439,7 +428,7 @@ def test_decode_on_torus_attains_grid_minimum(case):
     # windings with zeros and |u_1| != 1 exercise the general Bezout kernel
     cs, p = case
     assume(cs is not None)
-    x_hat = decode_on_torus(cs, p)
+    x_hat = _decode_on_torus(cs, p[None, :])[0]
     assert 0.0 <= x_hat < 1.0
     grid = np.arange(200_000) / 200_000
     best = float(_flat_distance_profile(cs, p, grid).min())
@@ -465,8 +454,9 @@ def test_decode_on_torus_deep_hole_runs_enumeration(scheme_m1):
 
     p = np.mod(hole + 2 * math.pi * 0.3 * cs.u_hat, cs.torus.box_periods)
     deep, on_curve = OpCounter(), OpCounter()
-    x_hat = decode_on_torus(cs, p, counter=deep)
-    decode_on_torus(cs, reduce_to_box(cs.torus, 2 * math.pi * 0.3 * cs.u_hat), counter=on_curve)
+    x_hat = _decode_on_torus(cs, p[None, :], counter=deep)[0]
+    on = reduce_to_box(cs.torus, 2 * math.pi * 0.3 * cs.u_hat)
+    _decode_on_torus(cs, on[None, :], counter=on_curve)
     assert deep.mults > on_curve.mults  # enumeration nodes are counted
     grid = np.arange(1_000_000) / 1_000_000
     best = float(_flat_distance_profile(cs, p, grid).min())
@@ -490,8 +480,10 @@ def test_decode_batch_picks_closest_line_at_high_noise():
     assert not undec.any()
     assert noisy.mults > clean.mults  # noiseless rows never enumerate
 
-    gamma, theta = extract_polar(ys)
-    box = np.stack([s.curves[k].torus.c for k in layer]) * theta / gamma
+    # the received angles, computed here rather than by the code under test
+    ang = np.arctan2(ys[:, 1::2], ys[:, 0::2])
+    ang[ang < 0.0] += 2 * math.pi
+    box = np.stack([s.curves[k].torus.c for k in layer]) * ang
     offsets = np.array(np.meshgrid(*[np.arange(-3, 4)] * 3, indexing="ij")).reshape(3, -1).T
     expected = np.empty(len(ys))
     moved = 0
@@ -519,8 +511,8 @@ def test_decode_batch_picks_closest_line_at_high_noise():
 
 
 def _reference_decode_batch(s, ys):
-    """The box-point formulation of decode_batch, row by row: extract_polar,
-    the normalised argmax over the layers, box point theta/gamma*c, then the
+    """The box-point formulation of decode_batch, row by row: the pair
+    magnitudes and angles (a zero pair takes angle 0), the normalised argmax over the layers, box point theta/gamma*c, then the
     closest line of the box point, its position along the line and the seam
     map.  Returns (x_hat, layer, undecodable, phase_fallback, mults)."""
     from toruscodes.lattices import (
@@ -532,7 +524,9 @@ def _reference_decode_batch(s, ys):
     )
 
     n, m = s.dim, s.dim - 1
-    gamma, theta = extract_polar(ys, strict=False)
+    gamma = np.hypot(ys[:, 0::2], ys[:, 1::2])
+    ang = np.arctan2(ys[:, 1::2], ys[:, 0::2])
+    ang = np.where(gamma > 0.0, np.where(ang < 0.0, ang + 2 * math.pi, ang), 0.0)
     undecodable = np.all(gamma == 0.0, axis=1)
     fallback = np.any(gamma == 0.0, axis=1) & ~undecodable
     norms = np.linalg.norm(gamma, axis=1)
@@ -552,8 +546,7 @@ def _reference_decode_batch(s, ys):
             lattices[k] = (np.array(kernel), gram, np.linalg.solve(gram, basis).T,
                            half * half * (1.0 - 1e-9), _gram_schmidt(basis))
         kernel, gram, coeffs, certified2, (mu, norms2) = lattices[k]
-        box = np.where(gamma[i] > 0.0, theta[i] / np.where(gamma[i] > 0.0, gamma[i], 1.0), 0.0)
-        box = box * cs.torus.c
+        box = ang[i] * cs.torus.c
         t = box @ coeffs
         z = np.rint(t)
         babai2 = (t - z) @ gram @ (t - z)

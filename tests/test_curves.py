@@ -512,10 +512,13 @@ def test_batch_search_on_exact_integers():
         dtypes.clear()
         with mock.patch.object(curves, "_SCAN_BLOCK", block), mock.patch.object(
             curves, "_lifting_windings", recorded
-        ):
+        ), mock.patch.object(curves, "line_spacing", wraps=curves.line_spacing) as spacing:
             got = curves._search_layers(tori, r_mins, w_max)
         assert [_outcome(f) for f in got] == want
         assert dtypes[0] == object
+        # the object wave gets the line-vector screen too: one exact spacing
+        # per hit, none for the torus with r_min 0.02 above its hit
+        assert spacing.call_count == 3
 
 
 def test_search_memory_does_not_grow_with_w_max():
