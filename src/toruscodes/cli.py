@@ -29,11 +29,12 @@ import numpy as np
 
 from . import __version__, codec
 from .codec import SchemeCode, decode_batch
-from .layers import InfeasibleSeparationError, LayerCodebook, design_layers
-from .curves import OutOfRangeError, default_target
+from .layers import InfeasibleSeparationError, LayerCodebook
+from .curves import OutOfRangeError
 from .simulate import (
     InfeasibleDesignError,
     SimConfig,
+    _scheme_codebook,
     design_scheme,
     format_mse_csv,
     format_tradeoff_csv,
@@ -110,8 +111,7 @@ def _cmd_design(args) -> int:
     elif n is None:
         raise _UsageError("-N is required without --codebook")
     else:
-        default_target(n)  # a dimension without a target fails before the layer greedy
-        codebook = design_layers(n, args.delta, min_coordinate=args.delta / 2.0)
+        codebook = _scheme_codebook(n, args.delta)
     scheme = design_scheme(codebook, args.delta, alpha=args.alpha, w_max=args.w_max)
     payload = {"codebook": codebook.to_dict(), "scheme": scheme.to_dict()}
     with open(args.output, "w") as f:

@@ -24,7 +24,6 @@ decode_exhaustive_batch is the grid oracle it is checked against.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
 from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice
-from .torus import _embed, inter_torus_distance, min_separation  # noqa: F401
+from .torus import _embed, _is_int, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
 # nothing here calls them: perfbench/traced.py wraps both by name.
@@ -201,11 +200,6 @@ class DecodeResult:
     layer: int
     undecodable: bool = False
     phase_fallback: bool = False
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -419,10 +413,6 @@ def _golden_section(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _grid_points(grid: int) -> np.ndarray:
-    return np.arange(grid) / grid
-
-
 def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     """Maximum-likelihood oracle: grid argmin of ||y - s(x)|| plus refinement.
 
@@ -433,7 +423,7 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     if not (_is_int(grid) and grid >= 1000):
         raise ValueError("grid must be an integer of at least 1000")
     ys = _received(scheme, ys)
-    xs_grid = _grid_points(grid)
+    xs_grid = np.arange(grid) / grid
     codebook = encode_batch(scheme, xs_grid)  # (G, 2N)
     b = ys.shape[0]
     best_idx = np.empty(b, dtype=np.int64)

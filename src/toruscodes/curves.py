@@ -43,7 +43,7 @@ from .lattices import (
     projection_lattice_basis,
     shortest_vector,
 )
-from .torus import TorusSpec, embed, intra_torus_distance
+from .torus import TorusSpec, _is_int, embed, intra_torus_distance
 
 __all__ = [
     "CurveSpec",
@@ -287,8 +287,8 @@ def _check_lifting_args(target: TargetLattice, c, w: int) -> np.ndarray:
         )
     if abs(c[0] - 1.0) > 1e-12:
         raise ValueError("the construction assumes c[0] == 1 (rescale first)")
-    if int(w) != w or w < 1:
-        raise ValueError("w must be a positive integer")
+    if not (_is_int(w) and w >= 1):
+        raise ValueError(f"w must be a positive integer, got {w!r}")
     return c
 
 
@@ -394,10 +394,10 @@ _SKIP_MARGIN = 1e-9  # relative slack for rounding in the per-window norm
 
 
 def _range_norm2_floor(target, c_scaled, c, lo, hi):
-    """Lower bound on the scan's ||u_hat||^2 for every window in [lo, hi].
+    """Lower bound on the scan's ||u_hat||^2 for every window in [lo[k], hi[k]].
 
-    lo and hi are one range, or arrays of ranges with one row of c_scaled
-    and c per range; the bound has the shape of lo.  Each floor a[i][j](w)
+    lo and hi are arrays of ranges, with one row of c_scaled and c per
+    range; the bound has one entry per range.  Each floor a[i][j](w)
     is monotone in w (float rounding is monotone, so the computed floors
     are too), so over the range it lies between its values at lo and hi.
     The winding recursion run once on those intervals, in integers (exact
@@ -406,9 +406,8 @@ def _range_norm2_floor(target, c_scaled, c, lo, hi):
     The bound is shrunk by _SKIP_MARGIN to cover the float rounding of the
     per-window norm.
     """
-    lo = np.asarray(lo)
-    f_lo = _window_floors(target, c_scaled, lo.reshape(-1))
-    f_hi = _window_floors(target, c_scaled, np.reshape(hi, -1))
+    f_lo = _window_floors(target, c_scaled, lo)
+    f_hi = _window_floors(target, c_scaled, hi)
     a_lo, a_hi = _exact(
         np.stack([np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)]),
         np.maximum(np.abs(f_lo), np.abs(f_hi)),
@@ -427,7 +426,7 @@ def _range_norm2_floor(target, c_scaled, c, lo, hi):
         gap = np.minimum(np.abs(low), np.abs(high)).astype(float)
         term = np.float_power(c[..., j] * gap, 2.0)
         norm2 = norm2 + np.where((low > 0) | (high < 0), term, 0.0)
-    return (norm2 / (1.0 + _SKIP_MARGIN) ** 2).reshape(lo.shape)[()]
+    return norm2 / (1.0 + _SKIP_MARGIN) ** 2
 
 
 _CERT_MARGIN = 1e-9  # relative slack below r_min for a line vector to reject a window
@@ -551,8 +550,8 @@ def _search_layers(tori, r_mins, w_max: int) -> list:
     """
     if not all(r_min > 0.0 for r_min in r_mins):  # NaN included
         raise ValueError("r_min must be positive")
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
+    if not (_is_int(w_max) and w_max >= 1):
+        raise ValueError(f"w_max must be an integer >= 1, got {w_max!r}")
     found = [None] * len(tori)
     if not tori:
         return found

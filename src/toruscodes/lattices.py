@@ -110,14 +110,13 @@ def dual_basis(basis: LatticeBasis) -> LatticeBasis:
 
 
 def project_orthogonal(n_hat, u_hat) -> np.ndarray:
-    """Orthogonal projection of n_hat onto the hyperplane orthogonal to u_hat."""
+    """Orthogonal projection of one vector n_hat onto the hyperplane orthogonal to u_hat."""
     n_hat = np.asarray(n_hat, dtype=float)
     u_hat = np.asarray(u_hat, dtype=float)
     uu = float(u_hat @ u_hat)
     if uu <= 0.0:
         raise InvalidDirectionError("projection direction must be nonzero")
-    return n_hat - (n_hat @ u_hat)[..., None] * u_hat / uu if n_hat.ndim > 1 \
-        else n_hat - (float(n_hat @ u_hat) / uu) * u_hat
+    return n_hat - (float(n_hat @ u_hat) / uu) * u_hat
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus import TorusSpec, inter_torus_distance, min_separation  # noqa: F401
+from .torus import TorusSpec, _is_int, inter_torus_distance, min_separation  # noqa: F401
 
 # inter_torus_distance stays importable from here: perfbench/traced.py
 # wraps it by name.
@@ -149,6 +149,8 @@ def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCod
     since a torus can only host a curve of ball radius delta when
     2*min(c) > delta.
     """
+    if not _is_int(n):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("need dimension >= 2")
     if not (0.0 < delta):

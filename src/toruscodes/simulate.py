@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SchemeCode, _golden_section, _is_int, build_scheme, decode_batch, encode_batch
+from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
 from .curves import (  # noqa: F401
     CurveSpec,
     _search_layers,
@@ -24,7 +24,7 @@ from .curves import (  # noqa: F401
 )
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
-from .torus import TorusSpec, intra_torus_distance
+from .torus import TorusSpec, _is_int, intra_torus_distance
 
 # search_best_w stays importable from here, though design_scheme calls
 # _search_layers: perfbench/traced.py wraps it by name.
@@ -124,7 +124,6 @@ def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb:
         float((e2 * e2).sum()),
         int(anomalies.sum()),
         int(undec.sum()),
-        nb,
     )
 
 
@@ -193,8 +192,8 @@ def estimate_small_ball(cs: CurveSpec, samples: int = 200_000) -> float:
     nearer than the perpendicular line gap, no distinct fold exists, and
     the scan raises instead of reporting a curvature-limited radius.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
+    if not (_is_int(samples) and samples >= 10_000):
+        raise ValueError(f"samples must be an integer of at least 1e4, got {samples!r}")
     torus = cs.torus
     c = torus.c
     u = cs.u.astype(float)
@@ -288,15 +287,20 @@ class TradeoffRow:
     layers: int
 
 
-def tradeoff_table(
-    n: int,
-    deltas,
-    w_max: int = 10_000,
-    codebook: LayerCodebook | None = None,
-) -> list[TradeoffRow]:
+def _scheme_codebook(n: int, delta: float) -> LayerCodebook:
+    """The layer codebook a scheme of radius delta is designed on: the grid
+    greedy at separation 2*delta, keeping only layers with every coordinate
+    above delta/2, since a torus can host a curve of ball radius delta only
+    when 2*min(c) > delta.  A dimension without a built-in target lattice
+    raises ValueError before any layer is designed."""
+    default_target(n)
+    return design_layers(n, delta, min_coordinate=delta / 2.0)
+
+
+def tradeoff_table(n: int, deltas, w_max: int = 10_000) -> list[TradeoffRow]:
     """Total curve length versus small-ball radius, multi-layer and single.
 
-    For each delta: layers at pairwise separation 2*delta host one curve
+    For each delta: the layers of _scheme_codebook(n, delta) host one curve
     each, whose spacing target comes from inverting the small-ball lower
     bound; the largest lifting window meeting the target gives the curve.
     The single-torus baseline runs the same procedure on the central torus
@@ -306,14 +310,11 @@ def tradeoff_table(
     """
     if n < 2:
         raise ValueError("need dimension >= 2")
-    default_target(n)  # a dimension without a target fails before any layer is designed
     central = LayerCodebook(layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),), min_sep=0.0)
     rows = []
     for delta in deltas:
         delta = float(delta)
-        book = codebook
-        if book is None:
-            book = design_layers(n, delta, min_coordinate=delta / 2.0)
+        book = _scheme_codebook(n, delta)
         totals = []
         for layers in (central, book):
             try:

@@ -9,6 +9,7 @@ formulas and bounds used everywhere else.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _sinc(x):

@@ -7,12 +7,15 @@ import queue
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toruscodes import cli, codec, design_layers, simulate
 from toruscodes.cli import main
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -43,6 +46,19 @@ def test_design_writes_scheme_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "scheme.json.manifest.json").read_text())
     assert manifest["command"] == "design"
     assert str(out) in manifest["outputs"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_design_builds_the_stored_schemes(tmp_path, capsys, n):
+    # the benchmark's schemes, stored from the library calls, are what
+    # design -N writes: same layers, windings and lengths, in the same order
+    out = tmp_path / "scheme.json"
+    assert main(["design", "-N", str(n), "--delta", "0.12", "-o", str(out)]) == 0
+    capsys.readouterr()
+    stored = PERFBENCH_DATA / f"scheme_n{n}_d0.12.json"
+    curves = [json.loads(path.read_text())["scheme"]["curves"] for path in (out, stored)]
+    designed, want = ([(cs["c"], cs["u"], cs["length"]) for cs in found] for found in curves)
+    assert designed == want
 
 
 def test_design_large_delta_small_codebook(tmp_path, capsys):
@@ -504,7 +520,6 @@ def no_layer_design(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("layers designed before the arguments were checked")
 
-    monkeypatch.setattr(cli, "design_layers", refuse)
     monkeypatch.setattr(simulate, "design_layers", refuse)
 
 

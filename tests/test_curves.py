@@ -196,6 +196,15 @@ def test_lifting_dual_basis_entries():
         lifting_dual_basis(hexagonal_target(), np.ones(3), 0)
 
 
+@pytest.mark.parametrize("w", [True, 2.0, 2.5, "2"])
+def test_lifting_rejects_non_integer_window(w):
+    for build in (lifting_winding, lifting_dual_basis):
+        with pytest.raises(ValueError, match="w must be a positive integer"):
+            build(hexagonal_target(), np.ones(3), w)
+    u = lifting_winding(hexagonal_target(), np.ones(3), np.int64(2))
+    assert u.tolist() == lifting_winding(hexagonal_target(), np.ones(3), 2).tolist()
+
+
 def test_lifting_gram_convergence():
     target = hexagonal_target()
     expect = target.gram()
@@ -315,6 +324,18 @@ def test_search_best_w_needs_a_target_row():
         search_best_w(central_torus(5), 0.01, w_max=10)
 
 
+@pytest.mark.parametrize("w_max", [100.7, 100.0, True, float("inf"), "100"])
+def test_search_rejects_non_integer_w_max(w_max):
+    with pytest.raises(ValueError, match="w_max must be an integer >= 1"):
+        search_best_w(central_torus(3), 0.05, w_max=w_max)
+
+
+def test_search_accepts_numpy_integer_w_max():
+    w, cs = search_best_w(central_torus(3), 0.05, w_max=np.int64(100))
+    want_w, want = search_best_w(central_torus(3), 0.05, w_max=100)
+    assert (w, cs.u.tolist()) == (want_w, want.u.tolist())
+
+
 def test_search_anti_monotone_length():
     t = central_torus(3)
     r_grid = [0.003, 0.006, 0.012, 0.024, 0.048]
@@ -430,8 +451,12 @@ def test_range_bound_is_sound(n, c, log_r_min, hi, frac):
     m = n - 1
     lo = hi - int(frac * hi)
     floor = curves._range_norm2_floor(
-        default_target(n), torus.c / torus.c[0], torus.c, lo, hi
-    )
+        default_target(n),
+        (torus.c / torus.c[0])[None],
+        torus.c[None],
+        np.array([lo]),
+        np.array([hi]),
+    )[0]
     norm2 = _scan_norm2(torus, np.arange(hi, lo - 1, -1))
     assert np.all(norm2 >= floor)
 

@@ -89,10 +89,17 @@ def test_infeasible_and_grid_errors():
         design_layers(3, 0.62)
     with pytest.raises(GridResolutionError):
         design_layers(4, 0.002)  # grid would explode
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need dimension >= 2"):
         design_layers(1, 0.1)
     with pytest.raises(ValueError, match="delta must be positive"):
         design_layers(3, float("nan"))
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_design_layers_rejects_non_integer_dimension(n):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        design_layers(n, 0.2)
+    assert design_layers(np.int64(3), 0.2).layers == design_layers(3, 0.2).layers
 
 
 def test_json_roundtrip():

@@ -25,6 +25,7 @@ from toruscodes import (
     search_best_w,
     tradeoff_table,
 )
+from toruscodes import simulate
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -229,6 +230,16 @@ def test_estimate_small_ball_monotone_in_samples():
         estimate_small_ball(cs, samples=5000)
 
 
+@pytest.mark.parametrize("samples", [2e5, 20_000.0, True, "20000"])
+def test_estimate_small_ball_rejects_non_integer_samples(samples):
+    cs = make_curve(TorusSpec(np.array([1.0, 1.0]) / SQ2), [4, 5])
+    with pytest.raises(ValueError, match="samples must be an integer of at least 1e4"):
+        estimate_small_ball(cs, samples=samples)
+    assert estimate_small_ball(cs, samples=np.int64(20_000)) == estimate_small_ball(
+        cs, samples=20_000
+    )
+
+
 def test_estimate_small_ball_3d_sandwich():
     torus = TorusSpec(np.ones(3) / SQ3)
     _, cs = search_best_w(torus, 0.05, w_max=100)
@@ -257,19 +268,24 @@ def test_tradeoff_table_small_grid():
     assert rows[0].length_multi >= rows[1].length_multi
 
 
-def test_tradeoff_single_layer_collapse():
-    central = LayerCodebook(layers=(TorusSpec(np.ones(3) / SQ3),), min_sep=0.0)
-    rows = tradeoff_table(3, [0.12], w_max=300, codebook=central)
-    assert rows[0].length_multi == rows[0].length_single
-
-
-def test_infeasible_design_and_tradeoff_na():
+def test_infeasible_design_and_tradeoff_na(monkeypatch):
     # a curve of ball radius delta needs 2*min(c) > delta: this layer hosts
     # none at 0.8, the central torus c = (1, 1)/sqrt(2) does
     book = LayerCodebook((TorusSpec(np.array([0.3, math.sqrt(0.91)])),), 0.0)
     with pytest.raises(InfeasibleDesignError, match="ball radius 0.8"):
         design_scheme(book, 0.8)
-    rows = tradeoff_table(2, [0.8], w_max=300, codebook=book)
+    # the table's multi-layer column is NA when its codebook hosts no curve:
+    # refuse the designed codebook (min_sep 2*delta), keep the central
+    # torus's (min_sep 0)
+    design = simulate.design_scheme
+
+    def refuse_multi_layer(codebook, delta, **kwargs):
+        if codebook.min_sep > 0.0:
+            raise InfeasibleDesignError(f"no layer supports a curve with ball radius {delta}")
+        return design(codebook, delta, **kwargs)
+
+    monkeypatch.setattr(simulate, "design_scheme", refuse_multi_layer)
+    rows = tradeoff_table(2, [0.4], w_max=300)
     assert rows[0].length_single > 0.0 and rows[0].length_multi is None
     assert format_tradeoff_csv(rows).splitlines()[1].endswith(",NA")
 
@@ -283,6 +299,15 @@ def test_design_scheme_needs_layers_2_delta_apart():
     for delta in (half + 1e-12, 0.2):
         with pytest.raises(InfeasibleDesignError, match=r"below 2\*delta"):
             design_scheme(book, delta, w_max=300)
+
+
+@pytest.mark.parametrize("w_max", [300.5, 300.0, True])
+def test_design_and_tradeoff_reject_non_integer_w_max(w_max):
+    book = design_layers(3, 0.2, min_coordinate=0.1)
+    with pytest.raises(ValueError, match="w_max must be an integer >= 1"):
+        design_scheme(book, 0.2, w_max=w_max)
+    with pytest.raises(ValueError, match="w_max must be an integer >= 1"):
+        tradeoff_table(3, [0.2], w_max=w_max)
 
 
 def test_csv_formats(scheme):
