@@ -142,6 +142,20 @@ def _window_limit(text) -> int:
     return w
 
 
+def _power_scale(text) -> float:
+    """The --alpha argument: a float that SchemeCode accepts, finite and
+    positive."""
+    try:
+        alpha = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        codec._check_alpha(alpha)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return alpha
+
+
 def _may_wait(stream) -> bool:
     """Whether a read of stream can wait for input that select can poll: a
     pipe or a terminal on POSIX.  A regular file or a stream without a
@@ -302,7 +316,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--delta", type=float, required=True, help="target small-ball radius")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha", type=float, default=1.0, help="power scale (energy alpha^2)")
+    p.add_argument("--alpha", type=_power_scale, default=1.0, help="power scale (energy alpha^2)")
     p.add_argument("--w-max", type=_window_limit, default=10_000)
     p.add_argument("--codebook", help="layer codebook JSON, its layers used in the order given")
     p.set_defaults(func=_cmd_design)

@@ -65,6 +65,12 @@ class OpCounter:
         self.mults += int(n)
 
 
+def _check_alpha(alpha) -> None:
+    """The power scale rule of a scheme: alpha finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("alpha must be finite and positive")
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeCode:
     """Full encoder state: the ordered curves, one per layer, the power
@@ -92,8 +98,7 @@ class SchemeCode:
             raise ValueError("need at least one curve")
         if any(cs.torus.dim != self.dim for cs in self.curves):
             raise ValueError("all curves must live on tori of the same dimension")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("alpha must be finite and positive")
+        _check_alpha(self.alpha)
         if not 0.0 <= self.guard < float(self.lengths.min()):
             raise ValueError("guard must lie in [0, shortest curve length)")
 

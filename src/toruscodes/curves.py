@@ -34,16 +34,22 @@ from itertools import product
 
 import numpy as np
 
-from .lattices import (
+from .lattices import (  # noqa: F401
     _OVERFLOW,
+    InvalidDirectionError,
     LatticeBasis,
     PrimitivityError,
     _integer_scale,
+    _line_lattice,
     _primitive_entries,
+    _shortest,
     projection_lattice_basis,
     shortest_vector,
 )
 from .torus import TorusSpec, _is_int, embed, intra_torus_distance
+
+# projection_lattice_basis and shortest_vector are imported for
+# perfbench/traced.py, which wraps them by name; line_spacing calls neither.
 
 __all__ = [
     "CurveSpec",
@@ -160,9 +166,15 @@ def line_spacing(torus: TorusSpec, u) -> float:
     """Minimum distance between distinct lines of the curve's box pre-image.
 
     Equals the shortest nonzero vector of the projection of diag(c)*Z^N onto
-    the hyperplane orthogonal to u_hat.
+    the hyperplane orthogonal to u_hat: _shortest of the rows of
+    _line_lattice scaled by 1/(2*pi), the rows that
+    projection_lattice_basis(torus.c, u) holds, so the two routes give the
+    same bits.  The winding is checked as there; the torus has checked c.
     """
-    return shortest_vector(projection_lattice_basis(torus.c, u)).norm
+    u = _primitive_entries(u, torus.dim, zero_error=InvalidDirectionError)
+    if torus.dim < 2:
+        raise ValueError("need ambient dimension >= 2")
+    return _shortest(_line_lattice(torus.c, u)[1] / _TWO_PI).norm
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:

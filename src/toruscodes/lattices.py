@@ -156,12 +156,26 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _kernel_and_bezout(u) -> tuple[list[list[int]], list[int]]:
-    """Integer row basis of {m in Z^N : <m, u> = 0} and Bezout coefficients
-    s with <s, u> = 1, for primitive u.
+def _bezout(u) -> list[int]:
+    """Bezout coefficients s with <s, u> = 1 for primitive u, by a chain of
+    extended gcds over the coordinates; <s, u> == 1 is asserted."""
+    s = [0] * len(u)
+    s[0] = 1
+    g = u[0]
+    for i in range(1, len(u)):
+        g, x, y = _xgcd(g, u[i])
+        s = [x * sj for sj in s]
+        s[i] += y
+    assert sum(a * b for a, b in zip(s, u)) == 1, "Bezout chain check failed"
+    return s
 
-    Both come from one Bezout chain over the coordinates; the kernel lattice
-    has squared covolume ||u||^2 exactly, asserted as a self-check.
+
+def _kernel(u) -> list[list[int]]:
+    """Integer row basis of {m in Z^N : <m, u> = 0}, for primitive u.
+
+    Each row comes from the step of the Bezout chain (as in _bezout) that
+    takes in one more coordinate; the kernel lattice has squared covolume
+    ||u||^2 exactly, asserted as a self-check.
     """
     u = [int(x) for x in u]
     n = len(u)
@@ -187,8 +201,7 @@ def _kernel_and_bezout(u) -> tuple[list[list[int]], list[int]]:
     uu = sum(x * x for x in u)
     # the section Z^N intersect u-perp has covolume ||u|| for primitive u
     assert _int_det(gram_int) == uu, "kernel basis covolume check failed"
-    assert sum(a * b for a, b in zip(s_prev, u)) == 1, "Bezout chain check failed"
-    return rows, s_prev
+    return rows
 
 
 def _lll(rows: list[list[int]], w: list[int]) -> list[list[int]]:
@@ -255,23 +268,25 @@ def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
     """Reduced basis of the lattice of lines {2*pi*(u_hat*x + c*n)}, n in Z^N,
     of the curve with primitive winding u, u_hat = c*u.
 
-    With Bezout coefficients s of u (<s, u> = 1), (u, ker(s)) is a basis of
-    Z^N, and line n lies at P(2*pi*c*n), its projection orthogonal to u_hat.
+    With Bezout coefficients s of u (<s, u> = 1, _bezout), (u, ker(s)) is a
+    basis of Z^N (_kernel of s), and line n lies at P(2*pi*c*n), its
+    projection orthogonal to u_hat.
     _lll reduces that basis under n -> c*n with u held first: the rows of
     ker(s) reduce as their projections, and size reduction against u makes
     each the index of its line nearest the hyperplane,
     |<c*n, u_hat>| <= ||u_hat||^2 / 2.  All of it is exact integer
     arithmetic, with one rounding per returned float.  Returns (kernel,
     basis): the reduced rows (N-1 lists of N ints) and their projections
-    P(2*pi*c*n) (N-1, N), row for row.
+    P(2*pi*c*n) (N-1, N), row for row.  The rows are independent, since
+    the reduction is unimodular, and carry no further check.
     """
     u = [int(x) for x in u]
-    _, s = _kernel_and_bezout(u)
+    s = _bezout(u)
     # c = a / den exactly, so n -> c*n is n -> a*n scaled, and
     # P(c*n) = a*(d*n - t*u) / (den*d) with the integers d = <a*u, a*u> and
     # t = <a*n, a*u>
     a, den = _integer_scale(c)
-    kernel = _lll([u] + _kernel_and_bezout(s)[0], [x * x for x in a])[1:]
+    kernel = _lll([u] + _kernel(s), [x * x for x in a])[1:]
     au = [ai * ui for ai, ui in zip(a, u)]
     d = sum(x * x for x in au)
     basis = []
@@ -402,22 +417,35 @@ def _closest_in_ball(mu, norms2, target, bound2: float):
     return best[0], best[1], nodes
 
 
-def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
-    """Globally shortest nonzero lattice vector by exhaustive enumeration.
+def _shortest(rows: np.ndarray) -> ShortestVectorResult:
+    """Globally shortest nonzero vector of the lattice spanned by the
+    independent rows (a float array of rank <= 8), by exhaustive enumeration.
 
     Enumerates integer coefficient vectors inside the ball of radius equal to
-    the shortest basis row, pruning with Gram-Schmidt partial norms.  Exact
-    for rank <= 8.  Ties (within 1e-12 relative) are broken by flipping signs
-    so the first nonzero coefficient is positive, then taking the
-    lexicographically smallest coefficient vector.
+    the shortest row, pruning with Gram-Schmidt partial norms; the
+    Gram-Schmidt data are computed in Python floats, which on a few short
+    rows is faster than numpy.  Ties (within 1e-12 relative) are broken by
+    flipping signs so the first nonzero coefficient is positive, then taking
+    the lexicographically smallest coefficient vector.  The vector is
+    coefficients @ rows, and the norm np.linalg.norm of it.
     """
-    if basis.rank > _MAX_RANK:
-        raise UnsupportedRankError(f"rank {basis.rank} exceeds guard {_MAX_RANK}")
-    rows = basis.rows
-    m = basis.rank
-    mu, norms2 = _gram_schmidt(rows)
-    row_norms2 = np.einsum("ij,ij->i", rows, rows)
-    best2 = float(row_norms2.min()) * (1.0 + 1e-12)
+    m = rows.shape[0]
+    if m > _MAX_RANK:
+        raise UnsupportedRankError(f"rank {m} exceeds guard {_MAX_RANK}")
+    rows_list = rows.tolist()
+    mu = [[0.0] * m for _ in range(m)]
+    bs, norms2 = [], []
+    for i, row in enumerate(rows_list):
+        b = row
+        for j in range(i):
+            mu[i][j] = x = sum(map(mul, row, bs[j])) / norms2[j]
+            b = [p - x * q for p, q in zip(b, bs[j])]
+        b2 = sum(map(mul, b, b))
+        if b2 <= 0.0:
+            raise DegenerateBasisError("Gram-Schmidt found a dependent row")
+        bs.append(b)
+        norms2.append(b2)
+    best2 = min(sum(map(mul, row, row)) for row in rows_list) * (1.0 + 1e-12)
     candidates: list[tuple[int, ...]] = []
 
     def leaf(z, partial: float) -> float:
@@ -430,7 +458,7 @@ def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
                 candidates.append(tuple(z))
         return best2 * (1.0 + 1e-12)
 
-    _enumerate(mu.tolist(), norms2.tolist(), [0.0] * m, best2 * (1.0 + 1e-12), leaf)
+    _enumerate(mu, norms2, [0.0] * m, best2 * (1.0 + 1e-12), leaf)
     if not candidates:
         raise DegenerateBasisError("no nonzero vector found (degenerate basis)")
 
@@ -455,6 +483,13 @@ def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
         norm=float(np.linalg.norm(vec)),
         coefficients=np.asarray(coeffs, dtype=np.int64),
     )
+
+
+def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
+    """Globally shortest nonzero lattice vector by exhaustive enumeration
+    (_shortest of the basis rows).  Exact for rank <= 8; ties are broken by
+    sign, then by the lexicographically smallest coefficient vector."""
+    return _shortest(basis.rows)
 
 
 def unit_ball_volume(n: int) -> float:

@@ -6,7 +6,11 @@ least 2*delta apart, which keeps points on different layers at least
 target separation; the constructor derives the achieved separation and
 rejects layers that fall short of the target, so every codebook, whether
 designed, read from a file or given by a caller, passes the same check.
-Construction is a deterministic greedy packing on an angular grid.
+Construction is a deterministic greedy packing on an angular grid, whose
+points below the minimum coordinate are dropped before the grid is sorted.
+The greedy takes the sorted grid in blocks: one array pass checks a block
+against the layers accepted before it, one more gives the distances between
+its survivors, and a loop over that matrix accepts them in order.
 """
 
 import math
@@ -87,12 +91,16 @@ class LayerCodebook:
         return cls(layers=layers, min_sep=2.0 * float(d["delta"]))
 
 
-def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
-    """Unit vectors with strictly positive entries on an angular grid.
+def _angle_grid_candidates(n: int, step: float, min_coordinate: float = 0.0) -> np.ndarray:
+    """Unit vectors with strictly positive entries on an angular grid, in
+    lexicographic order.
 
     Spherical angles theta_1..theta_{n-1} each range over multiples of step
     inside (0, pi/2); starting one step in keeps every coordinate strictly
-    positive (boundary candidates are pushed inward by one step).
+    positive (boundary candidates are pushed inward by one step).  When
+    min_coordinate > 0, vectors whose smallest coordinate is at or below it
+    are dropped before the sort; the sort is stable, so the kept vectors
+    keep the order they have among all of them.
     """
     k = int(math.floor((math.pi / 2.0 - step / 2.0) / step))
     if k ** (n - 1) > _MAX_CANDIDATES:
@@ -109,24 +117,40 @@ def _angle_grid_candidates(n: int, step: float) -> np.ndarray:
         sin_running = sin_running * np.sin(grids[i])
     cands[:, n - 1] = sin_running.ravel()
     cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+    if min_coordinate > 0.0:
+        cands = cands[cands.min(axis=1) > min_coordinate]
     order = np.lexsort(tuple(cands[:, i] for i in reversed(range(n))))
     return cands[order]
 
 
-def _far_from(points, columns, target: float) -> np.ndarray:
-    """Which rows of points lie at distance >= target from every column.
+def _distance2(points, columns) -> np.ndarray:
+    """Squared distances from the rows of points to the columns.
 
     Squared differences are summed coordinate by coordinate in index order,
-    as np.linalg.norm sums fewer than 8 terms; sqrt is monotone, so taking
-    it after the min gives the same bits.  The temporaries are two arrays
-    of one float per (point, column) pair.
+    as np.linalg.norm sums fewer than 8 terms, and sqrt is monotone, so a
+    sqrt taken after a min gives the bits of the min of the norms.  The
+    temporaries are two arrays of one float per (point, column) pair.
     """
-    d2 = np.zeros((points.shape[0], columns.shape[1]))
-    for k in range(columns.shape[0]):
+    d2 = points[:, 0, None] - columns[0]
+    d2 *= d2
+    for k in range(1, columns.shape[0]):
         d = points[:, k, None] - columns[k]
         d *= d
         d2 += d
-    return np.sqrt(d2.min(axis=1)) >= target
+    return d2
+
+
+def _spread(points, target: float) -> list:
+    """Indices of the rows of points that a greedy in row order keeps: each
+    at distance >= target from the rows kept before it.  One array
+    operation gives the distances of every pair, a loop over them the
+    rows."""
+    far = (np.sqrt(_distance2(points, points.T)) >= target).tolist()
+    kept = []
+    for j, row in enumerate(far):
+        if all(row[i] for i in kept):
+            kept.append(j)
+    return kept
 
 
 def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCodebook:
@@ -137,16 +161,19 @@ def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCod
     whenever they keep distance >= 2*delta from all accepted ones.
     Deterministic for fixed inputs.  The greedy runs block by block: one
     array operation checks a block of candidates against the layers
-    accepted before it, and only the survivors are then checked in order
-    against the block's own acceptances.  A block holds at most
-    _GREEDY_BLOCK candidates and _GREEDY_PAIRS (candidate, accepted layer)
-    pairs, so its temporaries stay under 0.5 MB whatever the number of
-    layers.  Given layers need no design: LayerCodebook(layers, 2*delta)
-    checks them and keeps their order.
+    accepted before it, one more gives the distances between the block's
+    survivors, and a loop over that matrix accepts each survivor, in order,
+    that is far from the survivors accepted before it.  A block holds at
+    most _GREEDY_BLOCK candidates and _GREEDY_PAIRS (candidate, accepted
+    layer) pairs, so its temporaries stay under 0.5 MB whatever the number
+    of layers.  Every distance is summed as np.linalg.norm sums it, so the
+    codebook is the one of a greedy that checks one candidate at a time.
+    Given layers need no design: LayerCodebook(layers, 2*delta) checks them
+    and keeps their order.
 
     min_coordinate drops candidates whose smallest coordinate is at or below
-    the threshold before the greedy runs; scheme design passes delta/2 here,
-    since a torus can only host a curve of ball radius delta when
+    the threshold, before the grid is sorted; scheme design passes delta/2
+    here, since a torus can only host a curve of ball radius delta when
     2*min(c) > delta.
     """
     if not _is_int(n):
@@ -160,13 +187,11 @@ def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCod
             f"delta = {delta} >= 0.5 leaves no useful positive-orthant codebook"
         )
 
-    cands = _angle_grid_candidates(n, delta / 2.0)
-    if min_coordinate > 0.0:
-        cands = cands[cands.min(axis=1) > min_coordinate]
-        if cands.shape[0] == 0:
-            raise InfeasibleSeparationError(
-                f"no candidate layer has all coordinates above {min_coordinate}"
-            )
+    cands = _angle_grid_candidates(n, delta / 2.0, min_coordinate)
+    if cands.shape[0] == 0:
+        raise InfeasibleSeparationError(
+            f"no candidate layer has all coordinates above {min_coordinate}"
+        )
     accepted = np.empty((n, cands.shape[0]))  # columns [0, count) are the accepted layers
     count = 0
     target = 2.0 * delta
@@ -176,11 +201,10 @@ def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCod
         block = cands[start : start + size]
         start += block.shape[0]
         if count:
-            block = block[_far_from(block, accepted[:, :count], target)]
-        first = count
-        for cand in block:
-            if count == first or _far_from(cand[None], accepted[:, first:count], target)[0]:
-                accepted[:, count] = cand
-                count += 1
+            block = block[np.sqrt(_distance2(block, accepted[:, :count]).min(axis=1)) >= target]
+        if block.shape[0] > 1:
+            block = block[_spread(block, target)]
+        accepted[:, count : count + block.shape[0]] = block.T
+        count += block.shape[0]
     specs = tuple(TorusSpec(c) for c in accepted[:, :count].T)
     return LayerCodebook(layers=specs, min_sep=target)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SchemeCode, _golden_section, build_scheme, decode_batch, encode_batch
+from .codec import (
+    SchemeCode,
+    _check_alpha,
+    _golden_section,
+    build_scheme,
+    decode_batch,
+    encode_batch,
+)
 from .curves import (  # noqa: F401
     CurveSpec,
     _search_layers,
@@ -261,8 +268,9 @@ def design_scheme(
     constructor's slack of 1e-12), since the scheme's ball radius is capped
     at half their separation, or if no layer remains.  Each curve keeps a
     seam arc of 2*delta unused, so the two ends of its subinterval are as
-    far apart as neighboring folds.
+    far apart as neighboring folds.  A bad alpha raises before any search.
     """
+    _check_alpha(float(alpha))
     if codebook.achieved_sep < 2.0 * delta - 1e-12:
         raise InfeasibleDesignError(
             f"codebook layers are {codebook.achieved_sep} apart, below 2*delta = {2.0 * delta}"
@@ -308,6 +316,8 @@ def tradeoff_table(n: int, deltas, w_max: int = 10_000) -> list[TradeoffRow]:
     without a built-in target lattice raises ValueError before any layer is
     designed.
     """
+    if not _is_int(n):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("need dimension >= 2")
     central = LayerCodebook(layers=(TorusSpec(np.full(n, 1.0 / math.sqrt(n))),), min_sep=0.0)

@@ -533,6 +533,19 @@ def test_dimension_without_target_fails_before_layers(tmp_path, capsys, no_layer
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+def test_bad_alpha_rejected_at_parse(tmp_path, capsys, no_layer_design, monkeypatch, alpha):
+    def refuse(*args, **kwargs):
+        raise AssertionError("window search ran before the arguments were checked")
+
+    monkeypatch.setattr(simulate, "_search_layers", refuse)
+    out = tmp_path / "out"
+    assert main(["design", "-N", "3", "--delta", "0.12", "-o", str(out), "--alpha", alpha]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: argument --alpha: alpha must be finite and positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["design", "tradeoff"])
 @pytest.mark.parametrize("w_max", ["0", "-3"])
 def test_w_max_below_1_rejected_at_parse(tmp_path, capsys, no_layer_design, command, w_max):

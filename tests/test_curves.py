@@ -101,6 +101,23 @@ def test_line_spacing_3d():
     assert abs(line_spacing(t, [1, 1, 1]) - oracle) < 1e-9
 
 
+def test_line_spacing_equals_the_projection_basis_route():
+    # line_spacing reduces the line lattice itself; its bits must be those
+    # of shortest_vector on projection_lattice_basis, ties included
+    rng = np.random.default_rng(20)
+    cases = [(np.full(3, 1.0 / SQ3), [1, 1, 1]), (np.array([1.0, 1.0]) / SQ2, [4, 5])]
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        c = np.abs(rng.standard_normal(n)) + 0.05
+        u = [0] * n
+        while math.gcd(*u) != 1:
+            u = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, n)]
+        cases.append((c / np.linalg.norm(c), u))
+    for c, u in cases:
+        reference = shortest_vector(projection_lattice_basis(c, u)).norm
+        assert line_spacing(TorusSpec(c), u) == reference
+
+
 def test_small_ball_bounds():
     t = TorusSpec(np.array([0.6, 0.8]))
     assert small_ball_bounds(t, 0.0) == (0.0, 0.0)

@@ -181,7 +181,15 @@ def _greedy_one_at_a_time(n, delta, min_coordinate):
 
 @pytest.mark.parametrize(
     "n, delta, min_coordinate",
-    [(2, 0.01, 0.0), (3, 0.05, 0.025), (3, 0.07, 0.0), (4, 0.12, 0.06), (5, 0.2, 0.1)],
+    [
+        (2, 0.01, 0.0),
+        (3, 0.05, 0.025),
+        (3, 0.07, 0.0),
+        (4, 0.12, 0.06),
+        (5, 0.2, 0.1),
+        # 376 layers: _GREEDY_PAIRS shrinks the blocks below _GREEDY_BLOCK
+        (3, 0.03, 0.015),
+    ],
 )
 def test_block_greedy_matches_one_at_a_time(n, delta, min_coordinate):
     want = _greedy_one_at_a_time(n, delta, min_coordinate)

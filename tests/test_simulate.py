@@ -310,6 +310,25 @@ def test_design_and_tradeoff_reject_non_integer_w_max(w_max):
         tradeoff_table(3, [0.2], w_max=w_max)
 
 
+def test_tradeoff_checks_dimension_as_integer():
+    for n in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            tradeoff_table(n, [0.2], w_max=100)
+    assert tradeoff_table(np.int64(3), [0.2], w_max=100) == tradeoff_table(3, [0.2], w_max=100)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_design_scheme_checks_alpha_before_the_search(monkeypatch, alpha):
+    book = design_layers(3, 0.2, min_coordinate=0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window search ran before alpha was checked")
+
+    monkeypatch.setattr(simulate, "_search_layers", refuse)
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        design_scheme(book, 0.2, alpha=alpha)
+
+
 def test_csv_formats(scheme):
     res = run_mse(scheme, SimConfig(sigma=0.01, trials=2000, seed=2))
     text = format_mse_csv(0.01, res)
