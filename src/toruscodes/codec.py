@@ -13,9 +13,9 @@ flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
 lattice (the one lattices._line_lattice builds for design too), so the
 second stage is a closest-vector search in that lattice: Babai rounding,
 certified when the rounded point lies within half the shortest lattice
-vector (2*pi times the curve's line spacing, which each CurveSpec derives
-from its torus and winding), and an exact enumeration for the rows it
-cannot certify.  Its work does not depend on the curve length ||u||_1.
+vector (found by enumeration on the same reduced rows), and an exact
+enumeration for the rows it cannot certify.  One reduction per curve gives
+the table all of it.  Its work does not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
-from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice
-from .torus import _embed, _is_int, inter_torus_distance, min_separation  # noqa: F401
+from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice, _shortest
+from .torus import _embed, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
 # nothing here calls them: perfbench/traced.py wraps both by name.
@@ -65,10 +65,12 @@ class OpCounter:
         self.mults += int(n)
 
 
-def _check_alpha(alpha) -> None:
-    """The power scale rule of a scheme: alpha finite and positive."""
+def _check_alpha(alpha) -> float:
+    """The power scale rule of a scheme: alpha a finite and positive number."""
+    alpha = _number(alpha, "alpha")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be finite and positive")
+    return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,8 @@ class SchemeCode:
             raise ValueError("need at least one curve")
         if any(cs.torus.dim != self.dim for cs in self.curves):
             raise ValueError("all curves must live on tori of the same dimension")
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "guard", _number(self.guard, "guard"))
         if not 0.0 <= self.guard < float(self.lengths.min()):
             raise ValueError("guard must lie in [0, shortest curve length)")
 
@@ -196,7 +199,7 @@ class SchemeCode:
     def from_dict(cls, d: dict) -> "SchemeCode":
         curves = [CurveSpec.from_dict(item) for item in d["curves"]]
         # files written before the seam guard existed encode on closed curves
-        return build_scheme(curves, alpha=float(d["alpha"]), guard=float(d.get("guard", 0.0)))
+        return build_scheme(curves, alpha=d["alpha"], guard=d.get("guard", 0.0))
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     """Assemble a SchemeCode from curves (one per layer), a power scale and a
     seam guard arc length."""
-    return SchemeCode(curves=tuple(curves), alpha=float(alpha), guard=float(guard))
+    return SchemeCode(curves=tuple(curves), alpha=alpha, guard=guard)
 
 
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
@@ -275,8 +278,8 @@ class _LineLattices:
     column minus z @ offset[k], with offset[k] = kernel[k] @ (2*pi*c*along[k]),
     so the integer line n is never built; taken modulo 1, it is the curve
     parameter, which the scheme's arc map takes to x.  The shortest lattice
-    vector, which bounds the Babai certificate, is 2*pi*cs.spacing, the
-    spacing each curve derives from its (c, u).
+    vector, which bounds the Babai certificate, is _shortest of basis[k],
+    the rows the table reduced, so each curve's lattice is reduced once.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -288,18 +291,17 @@ class _LineLattices:
 
     @classmethod
     def build(cls, curves) -> "_LineLattices":
-        kernel, gram, coeffs, gso = [], [], [], []
+        kernel, gram, coeffs, gso, shortest = [], [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
             g = basis @ basis.T
             kernel.append(np.array(kern, dtype=np.int64))
             gram.append(g)
             coeffs.append(np.linalg.solve(g, basis).T)
-            mu, norms2 = _gram_schmidt(basis)
-            gso.append((tuple(map(tuple, mu.tolist())), tuple(norms2.tolist())))
+            gso.append(_gram_schmidt(basis))
+            shortest.append(_shortest(basis).norm)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
-        shortest = _TWO_PI * np.array([cs.spacing for cs in curves])
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
         fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
         return cls(
@@ -308,7 +310,7 @@ class _LineLattices:
             gram=_frozen(np.stack(gram)),
             # a lattice point closer than half the shortest vector is the
             # unique closest one; the margin absorbs rounding
-            certified2=_frozen((shortest / 2.0) ** 2 * (1.0 - 1e-9)),
+            certified2=_frozen((np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9)),
             gso=tuple(gso),
         )
 
@@ -318,8 +320,8 @@ class _LineLattices:
         and the number of enumeration nodes visited.
 
         Babai rounding of the coefficients: a rounded point closer than half
-        the line spacing is the closest line.  Other rows run an exact
-        enumeration seeded with the rounded point's distance.
+        the shortest lattice vector is the closest line.  Other rows run an
+        exact enumeration seeded with the rounded point's distance.
         """
         folded = np.einsum("bn,bnm->bm", angles, self.fold.take(layers, axis=0))
         t = folded[:, :-1]

@@ -36,13 +36,11 @@ import numpy as np
 
 from .lattices import (  # noqa: F401
     _OVERFLOW,
-    InvalidDirectionError,
     LatticeBasis,
-    PrimitivityError,
     _integer_scale,
-    _line_lattice,
     _primitive_entries,
     _shortest,
+    _unit_line_rows,
     projection_lattice_basis,
     shortest_vector,
 )
@@ -141,7 +139,7 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        return cls(torus=TorusSpec(np.asarray(d["c"], dtype=float)), u=d["u"])
+        return cls(torus=TorusSpec(d["c"]), u=d["u"])
 
 
 def make_curve(torus: TorusSpec, u) -> CurveSpec:
@@ -166,15 +164,12 @@ def line_spacing(torus: TorusSpec, u) -> float:
     """Minimum distance between distinct lines of the curve's box pre-image.
 
     Equals the shortest nonzero vector of the projection of diag(c)*Z^N onto
-    the hyperplane orthogonal to u_hat: _shortest of the rows of
-    _line_lattice scaled by 1/(2*pi), the rows that
-    projection_lattice_basis(torus.c, u) holds, so the two routes give the
-    same bits.  The winding is checked as there; the torus has checked c.
+    the hyperplane orthogonal to u_hat: _shortest of the unit-scale line
+    rows (_unit_line_rows), the rows that projection_lattice_basis(torus.c,
+    u) holds, so the two routes give the same bits and check the winding
+    alike; the torus has checked c.
     """
-    u = _primitive_entries(u, torus.dim, zero_error=InvalidDirectionError)
-    if torus.dim < 2:
-        raise ValueError("need ambient dimension >= 2")
-    return _shortest(_line_lattice(torus.c, u)[1] / _TWO_PI).norm
+    return _shortest(_unit_line_rows(torus.c, u)).norm
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:
@@ -185,7 +180,7 @@ def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:
     beyond that window the derivation breaks down and an error is raised
     rather than clamping.
     """
-    if r < 0.0:
+    if not r >= 0.0:  # NaN included
         raise OutOfRangeError("spacing must be nonnegative")
     c_min = torus.c_min
     if r > c_min * (1.0 + 1e-12):

@@ -1,5 +1,5 @@
 """Low-rank lattice tools: duals, projections, exact shortest and closest
-vectors by one Schnorr-Euchner enumerator.
+vectors by one Schnorr-Euchner enumerator, fed by one Gram-Schmidt.
 
 A curve's line lattice, the projection of diag(c)*Z^N orthogonal to
 u_hat = c*u, is built one way (_line_lattice) for design and decoding.
@@ -300,11 +300,14 @@ def _primitive_entries(u, dim: int, zero_error: type = PrimitivityError) -> list
     """The dim entries of the winding u as Python ints; raises
     PrimitivityError unless they are numbers (not booleans or strings),
     integers below 2**62 in magnitude and primitive, zero_error if all zero."""
-    u = np.asarray(u)
-    # a Python int beyond int64 makes an object array, of kind "O"
-    if u.shape != (dim,) or u.dtype.kind not in "iuf":
+    a = np.asarray(u)
+    # a Python int beyond int64 makes an object array, of kind "O"; a bool
+    # among numbers is read as 0 or 1, so the entries themselves are looked at
+    if a.shape != (dim,) or a.dtype.kind not in "iuf" or any(
+        isinstance(x, (bool, np.bool_)) for x in u
+    ):
         raise PrimitivityError(f"winding vector must be {dim} integers below 2**62 in magnitude")
-    xs = u.tolist()  # a few entries: Python is faster here than numpy
+    xs = a.tolist()  # a few entries: Python is faster here than numpy
     if not all(-_OVERFLOW < x < _OVERFLOW for x in xs):
         raise PrimitivityError("winding entries must lie below 2**62 in magnitude")
     if not all(x == int(x) for x in xs):
@@ -316,6 +319,15 @@ def _primitive_entries(u, dim: int, zero_error: type = PrimitivityError) -> list
     if g != 1:
         raise PrimitivityError(f"winding vector must be primitive (gcd 1), got gcd {g}")
     return xs
+
+
+def _unit_line_rows(c: np.ndarray, u) -> np.ndarray:
+    """_line_lattice's basis / (2*pi) for radii c (a checked float vector);
+    u must be primitive (InvalidDirectionError if zero), and N >= 2."""
+    u = _primitive_entries(u, c.size, zero_error=InvalidDirectionError)
+    if c.size < 2:
+        raise ValueError("need ambient dimension >= 2")
+    return _line_lattice(c, u)[1] / (2.0 * math.pi)
 
 
 def projection_lattice_basis(c, u) -> LatticeBasis:
@@ -331,25 +343,26 @@ def projection_lattice_basis(c, u) -> LatticeBasis:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or not np.all(c > 0.0):
         raise ValueError("c must have strictly positive entries")
-    u = np.array(_primitive_entries(u, c.size, zero_error=InvalidDirectionError), dtype=np.int64)
-    if c.size < 2:
-        raise ValueError("need ambient dimension >= 2")
-    return LatticeBasis(_line_lattice(c, u)[1] / (2.0 * math.pi))
+    return LatticeBasis(_unit_line_rows(c, u))
 
 
-def _gram_schmidt(rows):
+def _gram_schmidt(rows: np.ndarray) -> tuple[tuple, tuple]:
+    """Gram-Schmidt (mu, norms2) of independent float rows, as the nested
+    tuples _enumerate reads, in Python floats: faster than numpy here."""
     m = rows.shape[0]
-    bs = rows.astype(float).copy()
-    mu = np.zeros((m, m))
-    norms2 = np.zeros(m)
-    for i in range(m):
+    mu = [[0.0] * m for _ in range(m)]
+    bs, norms2 = [], []
+    for i, row in enumerate(rows.tolist()):
+        b = row
         for j in range(i):
-            mu[i, j] = float(rows[i] @ bs[j]) / norms2[j]
-            bs[i] -= mu[i, j] * bs[j]
-        norms2[i] = float(bs[i] @ bs[i])
-        if norms2[i] <= 0.0:
+            mu[i][j] = x = sum(map(mul, row, bs[j])) / norms2[j]
+            b = [p - x * q for p, q in zip(b, bs[j])]
+        b2 = sum(map(mul, b, b))
+        if b2 <= 0.0:
             raise DegenerateBasisError("Gram-Schmidt found a dependent row")
-    return mu, norms2
+        bs.append(b)
+        norms2.append(b2)
+    return tuple(map(tuple, mu)), tuple(norms2)
 
 
 _NODE_CAP = 10_000_000  # enumeration nodes before a basis counts as too skew
@@ -359,13 +372,13 @@ def _enumerate(mu, norms2, target, bound2: float, leaf) -> int:
     """Schnorr-Euchner enumeration of the integer coefficient vectors z whose
     lattice point z @ rows lies within sqrt(bound2) of the point target @ rows.
 
-    mu and norms2 are the Gram-Schmidt data of the rows (nested lists, as
-    from _gram_schmidt); target holds real coefficients (zeros for a
-    shortest-vector search).  Each level visits its coefficients in order of
-    distance from its projected centre, so a level stops at the first one
-    outside the bound.  leaf(z, dist2) sees every point inside the current
-    bound and returns the bound to go on with; z is reused, so copy it.
-    Returns the number of nodes visited.
+    mu and norms2 are the Gram-Schmidt data of the rows, as _gram_schmidt
+    gives them (nested tuples, read as mu[i][j]); target holds real
+    coefficients (zeros for a shortest-vector search).  Each level visits
+    its coefficients in order of distance from its projected centre, so a
+    level stops at the first one outside the bound.  leaf(z, dist2) sees
+    every point inside the current bound and returns the bound to go on
+    with; z is reused, so copy it.  Returns the number of nodes visited.
     """
     m = len(norms2)
     z = [0] * m
@@ -422,30 +435,17 @@ def _shortest(rows: np.ndarray) -> ShortestVectorResult:
     independent rows (a float array of rank <= 8), by exhaustive enumeration.
 
     Enumerates integer coefficient vectors inside the ball of radius equal to
-    the shortest row, pruning with Gram-Schmidt partial norms; the
-    Gram-Schmidt data are computed in Python floats, which on a few short
-    rows is faster than numpy.  Ties (within 1e-12 relative) are broken by
-    flipping signs so the first nonzero coefficient is positive, then taking
-    the lexicographically smallest coefficient vector.  The vector is
-    coefficients @ rows, and the norm np.linalg.norm of it.
+    the shortest row, by _enumerate on the rows' _gram_schmidt data.  Ties
+    (within 1e-12 relative) are broken by flipping signs so the first
+    nonzero coefficient is positive, then taking the lexicographically
+    smallest coefficient vector.  The vector is coefficients @ rows, and the
+    norm np.linalg.norm of it.
     """
     m = rows.shape[0]
     if m > _MAX_RANK:
         raise UnsupportedRankError(f"rank {m} exceeds guard {_MAX_RANK}")
-    rows_list = rows.tolist()
-    mu = [[0.0] * m for _ in range(m)]
-    bs, norms2 = [], []
-    for i, row in enumerate(rows_list):
-        b = row
-        for j in range(i):
-            mu[i][j] = x = sum(map(mul, row, bs[j])) / norms2[j]
-            b = [p - x * q for p, q in zip(b, bs[j])]
-        b2 = sum(map(mul, b, b))
-        if b2 <= 0.0:
-            raise DegenerateBasisError("Gram-Schmidt found a dependent row")
-        bs.append(b)
-        norms2.append(b2)
-    best2 = min(sum(map(mul, row, row)) for row in rows_list) * (1.0 + 1e-12)
+    mu, norms2 = _gram_schmidt(rows)
+    best2 = min(sum(map(mul, row, row)) for row in rows.tolist()) * (1.0 + 1e-12)
     candidates: list[tuple[int, ...]] = []
 
     def leaf(z, partial: float) -> float:

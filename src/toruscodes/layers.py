@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus import TorusSpec, _is_int, inter_torus_distance, min_separation  # noqa: F401
+from .torus import TorusSpec, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
 
 # inter_torus_distance stays importable from here: perfbench/traced.py
 # wraps it by name.
@@ -87,8 +87,8 @@ class LayerCodebook:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerCodebook":
-        layers = tuple(TorusSpec(np.asarray(item["c"], dtype=float)) for item in d["layers"])
-        return cls(layers=layers, min_sep=2.0 * float(d["delta"]))
+        layers = tuple(TorusSpec(item["c"]) for item in d["layers"])
+        return cls(layers=layers, min_sep=2.0 * _number(d["delta"], "delta"))
 
 
 def _angle_grid_candidates(n: int, step: float, min_coordinate: float = 0.0) -> np.ndarray:
@@ -182,6 +182,8 @@ def design_layers(n: int, delta: float, min_coordinate: float = 0.0) -> LayerCod
         raise ValueError("need dimension >= 2")
     if not (0.0 < delta):
         raise ValueError("delta must be positive")
+    if math.isnan(min_coordinate):
+        raise ValueError("min_coordinate must not be NaN")
     if delta >= 0.5:
         raise InfeasibleSeparationError(
             f"delta = {delta} >= 0.5 leaves no useful positive-orthant codebook"

@@ -10,6 +10,7 @@ streams are locked by a golden-vector test.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ class InfeasibleDesignError(ValueError):
     are closer than twice the radius, or no layer can host such a curve."""
 
 BLOCK = 4096  # trials per RNG block; changing it changes the streams
+_IN_FLIGHT_PER_WORKER = 2  # blocks submitted but not yet merged, per worker
 
 _TWO_PI = 2.0 * math.pi
 
@@ -134,36 +136,44 @@ def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb:
     )
 
 
+def _block_results(block, count: int, workers: int):
+    """block(b) for b < count, in block order; with workers > 1, on a thread
+    pool with at most _IN_FLIGHT_PER_WORKER calls per worker pending."""
+    if workers == 1:
+        yield from map(block, range(count))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for b in range(count):
+            if len(pending) == workers * _IN_FLIGHT_PER_WORKER:
+                yield pending.popleft().result()
+            pending.append(pool.submit(block, b))
+        while pending:
+            yield pending.popleft().result()
+
+
 def run_mse(scheme: SchemeCode, config: SimConfig, workers: int = 1) -> SimResult:
     """Monte Carlo estimate of E[(X - X_hat)^2] under AWGN.
 
     Deterministic given (scheme, config), independent of workers: trials are
-    split into fixed blocks with per-block streams and merged in block order.
+    split into fixed blocks with per-block streams and merged in block order,
+    each as it arrives (_block_results), so memory does not grow with trials.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = config.trials
-    blocks = [(b, min(BLOCK, n - b * BLOCK)) for b in range((n + BLOCK - 1) // BLOCK)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda args: _simulate_block(scheme, config.sigma, config.seed, *args),
-                    blocks,
-                )
-            )
-    else:
-        partials = [
-            _simulate_block(scheme, config.sigma, config.seed, b, nb) for b, nb in blocks
-        ]
+    def block(b: int):
+        return _simulate_block(scheme, config.sigma, config.seed, b, min(BLOCK, n - b * BLOCK))
 
     sum_e2 = 0.0
     sum_e4 = 0.0
     anomalies = 0
     flagged = 0
-    for p in partials:  # block order: reproducible float accumulation
+    # block order: reproducible float accumulation
+    for p in _block_results(block, (n + BLOCK - 1) // BLOCK, workers):
         sum_e2 += p[0]
         sum_e4 += p[1]
         anomalies += p[2]
@@ -270,7 +280,7 @@ def design_scheme(
     seam arc of 2*delta unused, so the two ends of its subinterval are as
     far apart as neighboring folds.  A bad alpha raises before any search.
     """
-    _check_alpha(float(alpha))
+    _check_alpha(alpha)
     if codebook.achieved_sep < 2.0 * delta - 1e-12:
         raise InfeasibleDesignError(
             f"codebook layers are {codebook.achieved_sep} apart, below 2*delta = {2.0 * delta}"

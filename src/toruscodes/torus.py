@@ -33,6 +33,13 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _number(x, name: str) -> float:
+    """x as a float; a bool or a string (JSON true, "2.5") raises ValueError."""
+    if isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
+        return float(x)  # floats first: the numbers.Real check is slow
+    raise ValueError(f"{name} must be a number, got {x!r}")
+
+
 def _sinc(x):
     """sin(x)/x with a series branch near zero (exact limit 1 at x=0)."""
     x = np.asarray(x, dtype=float)
@@ -55,6 +62,8 @@ class TorusSpec:
         c = np.array(self.c, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("c must be a 1-d vector")
+        for x in self.c:  # dtype=float takes a bool or a numeric string
+            _number(x, "each entry of c")
         if not np.all(c > 0.0):
             raise ValueError("all entries of c must be strictly positive")
         norm = float(np.linalg.norm(c))
@@ -165,7 +174,7 @@ def distance_bounds(torus: TorusSpec, flat_dist: float) -> tuple[float, float]:
     as D -> 0.  The sandwich is only meaningful in the monotone window
     D <= pi*c_min; outside it the formulas are still evaluated as written.
     """
-    if flat_dist < 0.0:
+    if not flat_dist >= 0.0:  # NaN included
         raise ValueError("distance must be nonnegative")
     d = float(flat_dist)
     lower = float(_sinc(d / (2.0 * torus.c_min))) * d

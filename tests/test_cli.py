@@ -299,6 +299,64 @@ def test_malformed_scheme_file_is_an_error(scheme_file, tmp_path, monkeypatch, c
     assert "Traceback" not in err and out == ""
 
 
+def _file_with_bad_number(case):
+    """(command, file payload) of a scheme or codebook file whose number
+    field `case` holds a bool or a string."""
+    if case.startswith("codebook"):
+        book = {"delta": 0.2, "layers": [{"c": [0.6, 0.8]}]}  # one layer: any min_sep holds
+        if case == "codebook-delta-true":
+            book["delta"] = True
+        else:
+            book["layers"][0]["c"] = ["0.6", "0.8"]
+        return "design", book
+    payload = json.loads((PERFBENCH_DATA / "scheme_n3_d0.12.json").read_text())
+    scheme = payload["scheme"]
+    if case == "guard-true":
+        scheme["guard"] = True
+    elif case == "alpha-true":
+        scheme["alpha"] = True
+    elif case == "alpha-string":
+        scheme["alpha"] = "2.5"
+    elif case == "c-strings":
+        scheme["curves"][0]["c"] = [str(x) for x in scheme["curves"][0]["c"]]
+    elif case == "c-one-true":
+        scheme["curves"][0]["c"][0] = True
+    else:
+        # the stored u is [1, -1, 1]: numpy would read [true, -1, 1] as it
+        assert scheme["curves"][0]["u"][0] == 1
+        scheme["curves"][0]["u"][0] = True
+    return "decode", payload
+
+
+@pytest.mark.parametrize(
+    "case, word",
+    [
+        ("guard-true", "number"),
+        ("alpha-true", "number"),
+        ("alpha-string", "number"),
+        ("c-strings", "number"),
+        ("c-one-true", "number"),
+        ("u-one-true", "integers"),
+        ("codebook-delta-true", "number"),
+        ("codebook-c-strings", "number"),
+    ],
+)
+def test_file_numbers_must_be_numbers(tmp_path, monkeypatch, capsys, case, word):
+    # json.loads gives true and "2.5" where a number belongs; float() and
+    # numpy would take them as 1.0 and 2.5, even among numbers
+    command, payload = _file_with_bad_number(case)
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(payload))
+    if command == "decode":
+        argv = ["decode", "-s", str(path)]
+    else:
+        argv = ["design", "--delta", "0.2", "-o", str(tmp_path / "s.json"), "--codebook", str(path)]
+    code, out, err = run_cli(argv, "1 0 1 0 1 0\n", monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err and word in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_malformed_codebook_file_is_an_error(tmp_path, capsys):
     path = tmp_path / "codebook.json"
     path.write_text(json.dumps({"delta": 0.15}))

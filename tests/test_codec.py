@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from toruscodes import (
     reduce_to_box,
     search_best_w,
 )
+from toruscodes import lattices
 from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
 
@@ -551,9 +553,7 @@ def _reference_decode_batch(s, ys):
         z = np.rint(t)
         babai2 = (t - z) @ gram @ (t - z)
         if babai2 >= certified2:
-            found, _, visited = _closest_in_ball(
-                mu.tolist(), norms2.tolist(), t.tolist(), babai2 * (1.0 + 1e-9)
-            )
+            found, _, visited = _closest_in_ball(mu, norms2, t.tolist(), babai2 * (1.0 + 1e-9))
             mults += visited * n
             if found is not None:
                 z = np.array(found, dtype=float)
@@ -598,6 +598,18 @@ def test_decode_batch_matches_box_point_reference(designed_schemes, n, noise):
     assert np.max(np.abs(x_hat - ref_x)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "field, value", [("alpha", True), ("alpha", "2.5"), ("guard", True), ("guard", "0.1")]
+)
+def test_scheme_numbers_are_checked_by_the_scheme(scheme_multi, field, value):
+    # the constructor owns the rule, so build_scheme, from_dict and a direct
+    # SchemeCode(...) all refuse a bool or a string
+    fields = {"curves": scheme_multi.curves, "alpha": 1.0, "guard": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        SchemeCode(**fields)
+    assert type(SchemeCode(scheme_multi.curves, np.float64(2.0), 0).guard) is float
+
+
 def test_cached_scheme_arrays_are_read_only(scheme_multi):
     # run_mse's worker threads share these; a write must fail, not race.
     # The decoder table is built on the first decode, not at load.
@@ -614,6 +626,16 @@ def test_cached_scheme_arrays_are_read_only(scheme_multi):
             arr[0] = 0.0
     mu, norms2 = table.gso[0]
     assert isinstance(mu, tuple) and isinstance(norms2, tuple)
+
+
+def test_first_decode_reduces_each_curve_once(scheme_multi):
+    # the table takes the kernel, the basis and the shortest vector from
+    # one exact LLL per curve; the curves' own spacings are not needed
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    y = encode(s, 0.3)
+    with mock.patch.object(lattices, "_lll", wraps=lattices._lll) as lll:
+        decode(s, y)
+    assert lll.call_count == s.n_layers
 
 
 def test_line_lattices_is_a_closest_line_table(scheme_multi):

@@ -18,6 +18,7 @@ from toruscodes import (
     TargetLattice,
     TorusSpec,
     curve_point,
+    distance_bounds,
     dual_basis,
     exact_small_ball_2d,
     fcc_target,
@@ -673,3 +674,19 @@ def test_spacing_computed_once_per_designed_curve():
         ]
     assert [s.n_layers for s in schemes] == [23, 84]
     assert spacing.call_count == 107
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: small_ball_bounds(TorusSpec(np.ones(3) / SQ3), math.nan), OutOfRangeError),
+        (lambda: distance_bounds(TorusSpec(np.ones(3) / SQ3), math.nan), ValueError),
+        (lambda: design_layers(3, 0.12, min_coordinate=math.nan), ValueError),
+    ],
+    ids=["small_ball_bounds", "distance_bounds", "design_layers-min_coordinate"],
+)
+def test_nan_rejected_where_it_enters(call, error):
+    # every comparison with NaN is false, so a check written as "x < 0"
+    # lets NaN through to (nan, nan) bounds or a skipped filter
+    with pytest.raises(error):
+        call()

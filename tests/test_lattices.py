@@ -230,7 +230,7 @@ def test_closest_in_ball_vs_brute_force(rng):
         seed = np.rint(target)
         bound2 = float(np.sum(((seed - target) @ rows) ** 2)) * (1.0 + 1e-9)
         mu, norms2 = _gram_schmidt(rows)
-        z, dist2, nodes = _closest_in_ball(mu.tolist(), norms2.tolist(), target.tolist(), bound2)
+        z, dist2, nodes = _closest_in_ball(mu, norms2, target.tolist(), bound2)
         assert z is not None and nodes >= 1
         reach = math.sqrt(bound2) * np.linalg.norm(dual_basis(basis).rows, axis=1)
         axes = [np.arange(math.ceil(t - r), math.floor(t + r) + 1) for t, r in zip(target, reach)]
@@ -286,7 +286,7 @@ def test_line_lattice_rows_reduced(rng):
                 mu, norms2 = _gram_schmidt(rows)
                 assert np.all(np.abs(mu) <= 0.5 + 1e-9)
                 for i in range(1, n - 1):
-                    lovasz = (0.75 - mu[i, i - 1] ** 2) * norms2[i - 1]
+                    lovasz = (0.75 - mu[i][i - 1] ** 2) * norms2[i - 1]
                     assert norms2[i] >= lovasz * (1.0 - 1e-9)
 
 

@@ -1,5 +1,7 @@
+import concurrent.futures  # noqa: F401  (imported before any memory is traced)
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,29 @@ def test_run_mse_rejects_fewer_than_one_worker(scheme, workers):
 def test_run_mse_rejects_non_integer_workers(scheme, workers):
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         run_mse(scheme, SimConfig(sigma=0.0, trials=10, seed=1), workers=workers)
+
+
+@pytest.mark.parametrize("workers, blocks", [(1, 50_000), (2, 5_000)])
+def test_run_mse_memory_does_not_grow_with_trials(scheme, monkeypatch, workers, blocks):
+    # with the block work stubbed out, what is left is run_mse's own
+    # bookkeeping; a record kept per block (a list entry, or a ~1.6 KB
+    # future submitted up front) would peak near 10 MB here.  The stub's
+    # partials differ per block, so the mse also checks the block-order merge.
+    monkeypatch.setattr(
+        simulate, "_simulate_block", lambda scheme, sigma, seed, b, nb: (1.0 / (b + 1), 0.0, 0, 0)
+    )
+    config = SimConfig(sigma=0.0, trials=blocks * simulate.BLOCK, seed=1)
+    tracemalloc.start()
+    try:
+        result = run_mse(scheme, config, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    expected = 0.0
+    for b in range(blocks):
+        expected += 1.0 / (b + 1)
+    assert result.mse == expected / config.trials
 
 
 def test_run_mse_accepts_numpy_integers(scheme):
