@@ -7,7 +7,8 @@ g = guard / length.  The curves are closed, so without that arc the two ends
 of a subinterval would meet at one ambient point and a small noise step
 across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and angles from the received vector and picks
-the closest layer from the magnitudes (a linear scan, M*N work).  It then
+the closest layer from the magnitudes (a linear scan, M*N work, in row tiles
+of at most _LAYER_TILE scores, so its memory does not grow with M).  It then
 finds the closest line of the chosen curve's box pre-image in the wrapped
 flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
 lattice (the one lattices._line_lattice builds for design too), so the
@@ -53,6 +54,14 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
 # received rows per grid scan of decode_exhaustive_batch, bounding its
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
+# scores per tile of the layer scan, bounding its (rows, M) block to 512 KB
+_LAYER_TILE = 1 << 16
+# the layer scan takes a magnitude row unscaled when its largest entry lies
+# in [_MAG_LOW, _MAG_HIGH): no square overflows, nor does the sum of up to 16,
+# and a square small enough to round as a subnormal is below the largest
+# square's last bit
+_MAG_LOW = 2.0**-450
+_MAG_HIGH = 2.0**510
 
 
 class OpCounter:
@@ -252,11 +261,41 @@ def _polar(y):
 def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
-    product; an all-zero row gets layer 0."""
-    # np.linalg.norm's arithmetic, without its per-call dispatch
-    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return ((gamma / safe[:, None]) @ scheme._radii.T).argmax(axis=1)
+    product; an all-zero row gets layer 0.
+
+    The scan runs in tiles of rows whose (rows, M) score block holds at most
+    _LAYER_TILE scores, so its memory does not grow with the layer count M.
+    """
+    # np.linalg.norm's arithmetic, without its per-call dispatch.  Every row
+    # is in range when all magnitudes lie below _MAG_HIGH and every squared
+    # norm reaches _MAG_LOW, which two whole-batch reductions tell
+    norms2 = None
+    if gamma.max(initial=0.0) < _MAG_HIGH:
+        norms2 = np.add.reduce(gamma * gamma, axis=1)
+    if norms2 is None or norms2.min(initial=np.inf) < _MAG_LOW:
+        # scale the rows out of range by the power of two that brings their
+        # largest magnitude into [0.5, 1), which is exact and keeps their
+        # direction; the other rows keep their bits
+        top = gamma.max(axis=1)
+        far = ~((top >= _MAG_LOW) & (top < _MAG_HIGH))
+        gamma = gamma.copy()
+        gamma[far] = np.ldexp(gamma[far], -np.frexp(top[far])[1][:, None])
+        norms2 = np.add.reduce(gamma * gamma, axis=1)
+    norms = np.sqrt(norms2)
+    unit = gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
+    radii_t = scheme._radii.T
+    b = len(unit)
+    rows = max(2, _LAYER_TILE // radii_t.shape[1])
+    if b <= rows:
+        return (unit @ radii_t).argmax(axis=1)
+    layers = np.empty(b, dtype=np.intp)
+    for start in range(0, b, rows):
+        # no tile of one row in a batch of more: BLAS takes a single row
+        # through another kernel, whose rounding can break an exact tie the
+        # other way, so a one-row tail starts a row early
+        tile = slice(min(start, b - 2), start + rows)
+        layers[tile] = (unit[tile] @ radii_t).argmax(axis=1)
+    return layers
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +318,8 @@ class _LineLattices:
     so the integer line n is never built; taken modulo 1, it is the curve
     parameter, which the scheme's arc map takes to x.  The shortest lattice
     vector, which bounds the Babai certificate, is _shortest of basis[k],
-    the rows the table reduced, so each curve's lattice is reduced once.
+    the rows the table reduced, on the table's own Gram-Schmidt data, so
+    each curve's lattice is reduced and orthogonalised once.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -299,7 +339,7 @@ class _LineLattices:
             gram.append(g)
             coeffs.append(np.linalg.solve(g, basis).T)
             gso.append(_gram_schmidt(basis))
-            shortest.append(_shortest(basis).norm)
+            shortest.append(_shortest(basis, gso[-1]).norm)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]

@@ -37,6 +37,7 @@ import numpy as np
 from .lattices import (  # noqa: F401
     _OVERFLOW,
     LatticeBasis,
+    _gram_schmidt,
     _integer_scale,
     _primitive_entries,
     _shortest,
@@ -169,7 +170,8 @@ def line_spacing(torus: TorusSpec, u) -> float:
     u) holds, so the two routes give the same bits and check the winding
     alike; the torus has checked c.
     """
-    return _shortest(_unit_line_rows(torus.c, u)).norm
+    rows = _unit_line_rows(torus.c, u)
+    return _shortest(rows, _gram_schmidt(rows)).norm
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:

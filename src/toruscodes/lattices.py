@@ -430,21 +430,22 @@ def _closest_in_ball(mu, norms2, target, bound2: float):
     return best[0], best[1], nodes
 
 
-def _shortest(rows: np.ndarray) -> ShortestVectorResult:
+def _shortest(rows: np.ndarray, gso: tuple) -> ShortestVectorResult:
     """Globally shortest nonzero vector of the lattice spanned by the
     independent rows (a float array of rank <= 8), by exhaustive enumeration.
 
     Enumerates integer coefficient vectors inside the ball of radius equal to
-    the shortest row, by _enumerate on the rows' _gram_schmidt data.  Ties
-    (within 1e-12 relative) are broken by flipping signs so the first
-    nonzero coefficient is positive, then taking the lexicographically
-    smallest coefficient vector.  The vector is coefficients @ rows, and the
+    the shortest row, by _enumerate on gso, the rows' _gram_schmidt data
+    (mu, norms2), which the caller passes so that a caller that keeps it
+    computes it once.  Ties (within 1e-12 relative) are broken by flipping
+    signs so the first nonzero coefficient is positive, then taking the
+    lexicographically smallest coefficient vector.  The vector is coefficients @ rows, and the
     norm np.linalg.norm of it.
     """
     m = rows.shape[0]
     if m > _MAX_RANK:
         raise UnsupportedRankError(f"rank {m} exceeds guard {_MAX_RANK}")
-    mu, norms2 = _gram_schmidt(rows)
+    mu, norms2 = gso
     best2 = min(sum(map(mul, row, row)) for row in rows.tolist()) * (1.0 + 1e-12)
     candidates: list[tuple[int, ...]] = []
 
@@ -489,7 +490,7 @@ def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
     """Globally shortest nonzero lattice vector by exhaustive enumeration
     (_shortest of the basis rows).  Exact for rank <= 8; ties are broken by
     sign, then by the lexicographically smallest coefficient vector."""
-    return _shortest(basis.rows)
+    return _shortest(basis.rows, _gram_schmidt(basis.rows))
 
 
 def unit_ball_volume(n: int) -> float:

@@ -31,7 +31,7 @@ from toruscodes import (
     reduce_to_box,
     search_best_w,
 )
-from toruscodes import lattices
+from toruscodes import codec, lattices
 from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
 
@@ -195,16 +195,58 @@ def test_nearest_layer(scheme_multi, rng):
     assert np.array_equal(_nearest_layers(s, gamma), ks)
 
 
+def _tie_scheme():
+    """Two layers, (0.6, 0.8) and (0.8, 0.6), equally close to their midpoint."""
+    tori = [TorusSpec(np.array([0.6, 0.8])), TorusSpec(np.array([0.8, 0.6]))]
+    return build_scheme([make_curve(t, [3, 4]) for t in tori])
+
+
 def test_nearest_layer_tie_prefers_first():
-    t1 = TorusSpec(np.array([0.6, 0.8]))
-    t2 = TorusSpec(np.array([0.8, 0.6]))
-    cs1 = make_curve(t1, [3, 4])
-    cs2 = make_curve(t2, [3, 4])
-    s = build_scheme([cs1, cs2])
-    mid = (t1.c + t2.c) / 2.0
+    s = _tie_scheme()
+    mid = (s._radii[0] + s._radii[1]) / 2.0
     assert _nearest_layers(s, mid[None, :])[0] == 0
     y = np.array([[mid[0], 0.0, mid[1], 0.0]])  # pair magnitudes mid
     assert decode_batch(s, y)[1].tolist() == [0]
+
+
+@pytest.mark.parametrize("which", [3, 4, "tie"])
+def test_tiled_layer_scan_matches_one_block_scan(designed_schemes, which):
+    # tiles of t rows, the last one short, give every row the layer that one
+    # (B, M) score block gives it, exact ties and zero rows included; the
+    # fewest rows a tile takes is 2
+    s = _tie_scheme() if which == "tie" else designed_schemes[which]
+    rng = np.random.default_rng(s.n_layers)
+    gamma = _polar(encode_batch(s, rng.random(40)) + 0.1 * rng.standard_normal((40, 2 * s.dim)))[0]
+    gamma[:: 1 if which == "tie" else 2] = (s._radii[0] + s._radii[-1]) / 2.0
+    gamma[3] = 0.0
+    for tile, t in ((1, 2), (7 * s.n_layers, 7)):
+        for b in (0, 1, t - 1, t, t + 1, 3 * t + 2):
+            g = gamma[:b]
+            norms = np.linalg.norm(g, axis=1)
+            want = ((g / np.where(norms > 0.0, norms, 1.0)[:, None]) @ s._radii.T).argmax(axis=1)
+            with mock.patch.object(codec, "_LAYER_TILE", tile):
+                assert np.array_equal(_nearest_layers(s, g), want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_decode_unchanged_by_power_of_two_scaling(designed_schemes, n):
+    # the layer choice squares the pair magnitudes; at 2**600 those squares
+    # overflow and at 2**-600 they underflow, which must not move a layer.
+    # At 2**1000 arctan2 itself moves some angles by an ulp.
+    s = designed_schemes[n]
+    rng = np.random.default_rng([n, 600])
+    ys = encode_batch(s, rng.random(2000))
+    ys += 0.5 * s.alpha * 0.12 * rng.standard_normal(ys.shape)
+    x_hat, layer = decode_batch(s, ys)[:2]
+    for k, tol in ((-600, 0.0), (600, 0.0), (1000, 1e-15)):
+        scaled = ys * 2.0**k
+        mixed = ys.copy()
+        mixed[::3] = scaled[::3]  # rows out of range next to rows in range
+        for batch in (scaled, mixed):
+            got_x, got_layer = decode_batch(s, batch)[:2]
+            assert np.array_equal(got_layer, layer)
+            assert np.abs(got_x - x_hat).max() <= tol
+    assert decode(s, 1e160 * encode(s, 0.77)).x_hat == decode(s, encode(s, 0.77)).x_hat
 
 
 def _decode_on_torus(cs, boxes, counter=None):
@@ -638,6 +680,17 @@ def test_first_decode_reduces_each_curve_once(scheme_multi):
     assert lll.call_count == s.n_layers
 
 
+def test_first_decode_runs_one_gram_schmidt_per_curve(scheme_multi):
+    # the table's enumeration data and its shortest-vector search share one
+    # Gram-Schmidt per curve
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    y = encode(s, 0.3)
+    with mock.patch.object(lattices, "_gram_schmidt", wraps=lattices._gram_schmidt) as gs:
+        with mock.patch.object(codec, "_gram_schmidt", gs):
+            decode(s, y)
+    assert gs.call_count == s.n_layers
+
+
 def test_line_lattices_is_a_closest_line_table(scheme_multi):
     # the arc map between x and the curves belongs to the scheme alone
     assert "seam" not in [f.name for f in dataclasses.fields(_LineLattices)]
@@ -685,6 +738,24 @@ def test_decode_memory_bounded_in_curve_length(lifting_schemes, rng):
             tracemalloc.stop()
     assert max(peaks) < 16e6
     assert max(peaks) <= 1.5 * min(peaks)
+
+
+def test_decode_memory_does_not_grow_with_layer_count():
+    # the layer scan of 4096 rows over ~2000 layers would need a 64 MB score
+    # block at once; in tiles it stays near the decode's other arrays
+    rng = np.random.default_rng(2000)
+    c = rng.uniform(0.1, 1.0, size=(2000, 4))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    s = build_scheme([CurveSpec(TorusSpec(row), np.array([7, 11, 13, 17])) for row in c])
+    ys = encode_batch(s, rng.random(4096)) + 0.01 * rng.standard_normal((4096, 8))
+    decode_batch(s, ys)  # builds the closest-line table
+    tracemalloc.start()
+    try:
+        decode_batch(s, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_operation_count_independent_of_curve_length(lifting_schemes, rng):
