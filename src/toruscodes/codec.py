@@ -7,10 +7,9 @@ g = guard / length.  The curves are closed, so without that arc the two ends
 of a subinterval would meet at one ambient point and a small noise step
 across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and angles from the received vector and picks
-the closest layer from the magnitudes (a linear scan, M*N work, in row tiles
-of at most _LAYER_TILE scores, so its memory does not grow with M).  It then
-finds the closest line of the chosen curve's box pre-image in the wrapped
-flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
+the closest layer from the magnitudes (a linear scan, M*N work, in bounded
+row tiles, so its memory does not grow with M).  It then finds the closest
+line of the chosen curve's box pre-image in the wrapped flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
 lattice (the one lattices._line_lattice builds for design too), so the
 second stage is a closest-vector search in that lattice: Babai rounding,
 certified when the rounded point lies within half the shortest lattice
@@ -55,6 +54,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
 # (rows, grid) dot-product block
 _EXHAUSTIVE_CHUNK = 128
 # scores per tile of the layer scan, bounding its (rows, M) block to 512 KB
+# while M <= _LAYER_TILE / 2
 _LAYER_TILE = 1 << 16
 # the layer scan takes a magnitude row unscaled when its largest entry lies
 # in [_MAG_LOW, _MAG_HIGH): no square overflows, nor does the sum of up to 16,
@@ -264,7 +264,11 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     product; an all-zero row gets layer 0.
 
     The scan runs in tiles of rows whose (rows, M) score block holds at most
-    _LAYER_TILE scores, so its memory does not grow with the layer count M.
+    max(_LAYER_TILE, 2*M) scores (a tile has at least two rows), so its
+    memory does not grow with the layer count M.  An exact tie goes the way
+    BLAS rounds it: a one-row product and a product of two or more rows can
+    settle it differently, so the scan never makes a tile of one row out of
+    a larger batch.
     """
     # np.linalg.norm's arithmetic, without its per-call dispatch.  Every row
     # is in range when all magnitudes lie below _MAG_HIGH and every squared
@@ -286,8 +290,6 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     radii_t = scheme._radii.T
     b = len(unit)
     rows = max(2, _LAYER_TILE // radii_t.shape[1])
-    if b <= rows:
-        return (unit @ radii_t).argmax(axis=1)
     layers = np.empty(b, dtype=np.intp)
     for start in range(0, b, rows):
         # no tile of one row in a batch of more: BLAS takes a single row

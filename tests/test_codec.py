@@ -216,16 +216,31 @@ def test_tiled_layer_scan_matches_one_block_scan(designed_schemes, which):
     # fewest rows a tile takes is 2
     s = _tie_scheme() if which == "tie" else designed_schemes[which]
     rng = np.random.default_rng(s.n_layers)
-    gamma = _polar(encode_batch(s, rng.random(40)) + 0.1 * rng.standard_normal((40, 2 * s.dim)))[0]
+    gamma = _polar(encode_batch(s, rng.random(310)) + 0.1 * rng.standard_normal((310, 2 * s.dim)))[0]
     gamma[:: 1 if which == "tie" else 2] = (s._radii[0] + s._radii[-1]) / 2.0
     gamma[3] = 0.0
-    for tile, t in ((1, 2), (7 * s.n_layers, 7)):
-        for b in (0, 1, t - 1, t, t + 1, 3 * t + 2):
-            g = gamma[:b]
-            norms = np.linalg.norm(g, axis=1)
-            want = ((g / np.where(norms > 0.0, norms, 1.0)[:, None]) @ s._radii.T).argmax(axis=1)
+    for tile, t in ((1, 2), (7 * s.n_layers, 7), (100 * s.n_layers, 100)):
+        for b in (0, 1, t - 1, t, t + 1, 2 * t + 1, 3 * t + 2):
             with mock.patch.object(codec, "_LAYER_TILE", tile):
-                assert np.array_equal(_nearest_layers(s, g), want)
+                assert np.array_equal(_nearest_layers(s, gamma[:b]), _one_block_scan(s, gamma[:b]))
+
+
+def _one_block_scan(s, gamma):
+    norms = np.linalg.norm(gamma, axis=1)
+    return ((gamma / np.where(norms > 0.0, norms, 1.0)[:, None]) @ s._radii.T).argmax(axis=1)
+
+
+def test_tiled_layer_scan_keeps_ties_at_full_tiles():
+    # the tie scheme's default tile is 32768 rows: a full tile plus a one-row
+    # tail, and two full tiles plus one, settle every exact tie as one
+    # (B, M) score block does
+    s = _tie_scheme()
+    t = codec._LAYER_TILE // s.n_layers
+    mid = (s._radii[0] + s._radii[1]) / 2.0
+    for b in (t + 1, 2 * t + 1):
+        gamma = np.tile(mid, (b, 1))
+        gamma[::5] = s._radii[0]
+        assert np.array_equal(_nearest_layers(s, gamma), _one_block_scan(s, gamma))
 
 
 @pytest.mark.parametrize("n", [3, 4])
