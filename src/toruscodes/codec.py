@@ -9,12 +9,17 @@ across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and angles from the received vector and picks
 the closest layer from the magnitudes (a linear scan, M*N work, in bounded
 row tiles, so its memory does not grow with M).  It then finds the closest
-line of the chosen curve's box pre-image in the wrapped flat metric.  Those lines sit at the points of the curve's rank-(N-1) line
-lattice (the one lattices._line_lattice builds for design too), so the
-second stage is a closest-vector search in that lattice: Babai rounding,
-certified when the rounded point lies within half the shortest lattice
-vector (found by enumeration on the same reduced rows), and an exact
-enumeration for the rows it cannot certify.  One reduction per curve gives
+line of the chosen curve's box pre-image in the wrapped flat metric.  Both
+stages read only directions and angles, so they do not depend on the scale
+of the received vector: _received, the one entry check of both decoders,
+scales a row whose coordinates would overflow or underflow by a power of
+two, and the decoders take any finite vector.  The lines of the box
+pre-image sit at the points of the curve's rank-(N-1) line lattice (the one
+lattices._line_lattice builds for design too), so the second stage is a
+closest-vector search in that lattice: Babai rounding, certified when the
+rounded point lies within half the shortest lattice vector (found by
+enumeration on the same reduced rows), and an exact enumeration for the
+rows it cannot certify.  One reduction per curve gives
 the table all of it.  Its work does not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
@@ -56,12 +61,13 @@ _EXHAUSTIVE_CHUNK = 128
 # scores per tile of the layer scan, bounding its (rows, M) block to 512 KB
 # while M <= _LAYER_TILE / 2
 _LAYER_TILE = 1 << 16
-# the layer scan takes a magnitude row unscaled when its largest entry lies
-# in [_MAG_LOW, _MAG_HIGH): no square overflows, nor does the sum of up to 16,
-# and a square small enough to round as a subnormal is below the largest
-# square's last bit
+# _received passes a received row unscaled when its largest |coordinate| lies
+# in [_MAG_LOW, _MAG_HIGH).  Then each pair magnitude is below 2**500.5, so
+# its square is below 2**1001 and no sum of fewer than 2**23 squares
+# overflows; the largest square is at least 2**-900, so a square small
+# enough to round as a subnormal is below its last bit
 _MAG_LOW = 2.0**-450
-_MAG_HIGH = 2.0**510
+_MAG_HIGH = 2.0**500
 
 
 class OpCounter:
@@ -230,8 +236,17 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
     return SchemeCode(curves=tuple(curves), alpha=alpha, guard=guard)
 
 
+def _numbers(a, what: str) -> np.ndarray:
+    """a as a float array; booleans, strings, objects and complex numbers
+    raise ValueError, as torus._number does for one number."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
+    xs = _numbers(xs, "encoder input")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
         raise ValueError("encoder input must lie in [0, 1)")
     ks, t = scheme._to_curve(xs)
@@ -241,13 +256,12 @@ def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
 
 def encode(scheme: SchemeCode, x: float) -> np.ndarray:
     """Encode x in [0, 1) to a point of norm alpha in R^(2N)."""
-    return encode_batch(scheme, np.array([float(x)]))[0]
+    return encode_batch(scheme, np.reshape(x, 1))[0]
 
 
 def _polar(y):
-    """Magnitudes, angles in [0, 2*pi), and the zero-magnitude mask of y; a
-    zero pair takes angle 0."""
-    y = np.asarray(y, dtype=float)
+    """Magnitudes, angles in [0, 2*pi), and the zero-magnitude mask of the
+    float rows y; a zero pair takes angle 0."""
     even = y[..., 0::2]
     odd = y[..., 1::2]
     gamma = np.hypot(even, odd)
@@ -261,7 +275,9 @@ def _polar(y):
 def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
-    product; an all-zero row gets layer 0.
+    product; an all-zero row gets layer 0.  Each row holds the pair
+    magnitudes of a row in _received's range, so no square overflows, and a
+    square that underflows lies below the largest one's last bit.
 
     The scan runs in tiles of rows whose (rows, M) score block holds at most
     max(_LAYER_TILE, 2*M) scores (a tile has at least two rows), so its
@@ -270,22 +286,8 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     settle it differently, so the scan never makes a tile of one row out of
     a larger batch.
     """
-    # np.linalg.norm's arithmetic, without its per-call dispatch.  Every row
-    # is in range when all magnitudes lie below _MAG_HIGH and every squared
-    # norm reaches _MAG_LOW, which two whole-batch reductions tell
-    norms2 = None
-    if gamma.max(initial=0.0) < _MAG_HIGH:
-        norms2 = np.add.reduce(gamma * gamma, axis=1)
-    if norms2 is None or norms2.min(initial=np.inf) < _MAG_LOW:
-        # scale the rows out of range by the power of two that brings their
-        # largest magnitude into [0.5, 1), which is exact and keeps their
-        # direction; the other rows keep their bits
-        top = gamma.max(axis=1)
-        far = ~((top >= _MAG_LOW) & (top < _MAG_HIGH))
-        gamma = gamma.copy()
-        gamma[far] = np.ldexp(gamma[far], -np.frexp(top[far])[1][:, None])
-        norms2 = np.add.reduce(gamma * gamma, axis=1)
-    norms = np.sqrt(norms2)
+    # np.linalg.norm's arithmetic, without its per-call dispatch
+    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
     unit = gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
     radii_t = scheme._radii.T
     b = len(unit)
@@ -395,14 +397,28 @@ class _LineLattices:
 
 
 def _received(scheme: SchemeCode, ys) -> np.ndarray:
-    """ys as float received vectors of shape (B, 2N), all finite."""
-    ys = np.asarray(ys, dtype=float)
+    """ys as float received vectors of shape (B, 2N), all finite, each row
+    in the decoders' range.
+
+    Both decoders read only the direction of a row, so a row whose largest
+    |coordinate| lies outside [_MAG_LOW, _MAG_HIGH) is scaled by the power of
+    two that brings that coordinate into [0.5, 1), which is exact.  Every
+    other row keeps its bits, and a batch whose coordinates all lie in that
+    range (NaN and inf do not) passes through untouched.
+    """
+    ys = _numbers(ys, "received vectors")
     expected = 2 * scheme.dim
     if ys.ndim != 2 or ys.shape[1] != expected:
         raise ValueError(f"received vectors must have shape (B, {expected}), got {ys.shape}")
+    size = np.abs(ys)
+    if size.max(initial=0.0) < _MAG_HIGH and size.min(initial=_MAG_LOW) >= _MAG_LOW:
+        return ys
     if not np.isfinite(ys).all():
         raise ValueError("received vectors must be finite")
-    return ys
+    top = size.max(axis=1)
+    far = (top < _MAG_LOW) | (top >= _MAG_HIGH)
+    # a new array, not the caller's; frexp gives a zero row exponent 0
+    return np.ldexp(ys, -np.where(far, np.frexp(top)[1], 0)[:, None])
 
 
 def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
@@ -439,8 +455,7 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
 
 def decode(scheme: SchemeCode, y, counter: OpCounter | None = None) -> DecodeResult:
     """Two-stage decoding of a single received vector."""
-    y = np.asarray(y, dtype=float)
-    x_hat, layers, undec, fb = decode_batch(scheme, y[None, :], counter=counter)
+    x_hat, layers, undec, fb = decode_batch(scheme, np.asarray(y)[None, :], counter=counter)
     return DecodeResult(
         x_hat=float(x_hat[0]),
         layer=int(layers[0]),

@@ -32,7 +32,7 @@ from .curves import (  # noqa: F401
 )
 from .layers import LayerCodebook, design_layers
 from .lattices import project_orthogonal
-from .torus import TorusSpec, _is_int, intra_torus_distance
+from .torus import TorusSpec, _is_int, _number, intra_torus_distance
 
 # search_best_w stays importable from here, though design_scheme calls
 # _search_layers: perfbench/traced.py wraps it by name.
@@ -74,6 +74,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and nonnegative")
         if not _is_int(self.trials):

@@ -119,6 +119,18 @@ def test_decode_malformed_and_zero(scheme_file, monkeypatch, capsys):
     assert "line 1" in err and "line 2" in err
 
 
+def test_decode_vector_at_the_float_maximum(monkeypatch, capsys):
+    # the designed N=4, delta=.12 scheme; a line scaled to max|y| = 1.7e308,
+    # whose pair magnitudes overflow, decodes as the unscaled line, and
+    # nothing warns
+    path = PERFBENCH_DATA / "scheme_n4_d0.12.json"
+    y = codec.encode(cli._load_scheme(path), 0.77)
+    line = " ".join(format(v, ".17g") for v in y / np.abs(y).max() * 1.7e308)
+    code, out, err = run_cli(["decode", "-s", str(path)], line + "\n", monkeypatch, capsys)
+    assert code == 0 and err == ""
+    assert abs(float(out) - 0.77) < 1e-12
+
+
 def test_decode_zero_vector_alone_exits_0(scheme_file, monkeypatch, capsys):
     # an undecodable vector prints NA and its message but is no parse failure
     zero = " ".join(["0"] * 6)

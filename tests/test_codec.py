@@ -245,23 +245,53 @@ def test_tiled_layer_scan_keeps_ties_at_full_tiles():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_decode_unchanged_by_power_of_two_scaling(designed_schemes, n):
-    # the layer choice squares the pair magnitudes; at 2**600 those squares
-    # overflow and at 2**-600 they underflow, which must not move a layer.
-    # At 2**1000 arctan2 itself moves some angles by an ulp.
+    # the layer choice squares the pair magnitudes; from 2**600 on those
+    # squares overflow (at 2**1023 the coordinates lie next to the float
+    # maximum) and at 2**-600 they underflow, which must not move a layer or
+    # x_hat, nor the grid oracle's x_hat
     s = designed_schemes[n]
     rng = np.random.default_rng([n, 600])
     ys = encode_batch(s, rng.random(2000))
     ys += 0.5 * s.alpha * 0.12 * rng.standard_normal(ys.shape)
     x_hat, layer = decode_batch(s, ys)[:2]
-    for k, tol in ((-600, 0.0), (600, 0.0), (1000, 1e-15)):
+    ml = decode_exhaustive_batch(s, ys[:60], grid=1000)
+    for k in (-600, 600, 1000, 1023):
         scaled = ys * 2.0**k
         mixed = ys.copy()
         mixed[::3] = scaled[::3]  # rows out of range next to rows in range
         for batch in (scaled, mixed):
             got_x, got_layer = decode_batch(s, batch)[:2]
             assert np.array_equal(got_layer, layer)
-            assert np.abs(got_x - x_hat).max() <= tol
+            assert np.array_equal(got_x, x_hat)
+            assert np.array_equal(decode_exhaustive_batch(s, batch[:60], grid=1000), ml)
+        assert decode(s, scaled[0]) == decode(s, ys[0])
     assert decode(s, 1e160 * encode(s, 0.77)).x_hat == decode(s, encode(s, 0.77)).x_hat
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_decoders_take_rows_at_the_float_maximum(designed_schemes, n):
+    # rows scaled to max|y| = 1.7e308: their pair magnitudes overflow
+    # np.hypot and their dot products with the oracle's codebook overflow.
+    # The scale is no power of two, so x_hat may move by rounding only; the
+    # oracle's golden section settles where its objective's rounding noise
+    # hides the flat minimum, within about sqrt(eps)
+    s = designed_schemes[n]
+    rng = np.random.default_rng([n, 308])
+    ys = encode_batch(s, rng.random(300))
+    ys += 0.5 * s.alpha * 0.12 * rng.standard_normal(ys.shape)
+    huge = ys / np.abs(ys).max(axis=1, keepdims=True) * 1.7e308
+    x_hat, layer = decode_batch(s, ys)[:2]
+    ml = decode_exhaustive_batch(s, ys[:60], grid=1000)
+    mixed = ys.copy()
+    mixed[::3] = huge[::3]
+    for batch in (huge, mixed):
+        got_x, got_layer = decode_batch(s, batch)[:2]
+        assert np.array_equal(got_layer, layer)
+        assert np.abs(got_x - x_hat).max() <= 1e-12
+        assert np.abs(decode_exhaustive_batch(s, batch[:60], grid=1000) - ml).max() <= 1e-8
+    y = encode(s, 0.77)
+    got = decode(s, y / np.abs(y).max() * 1.7e308)
+    assert got.layer == decode(s, y).layer and abs(got.x_hat - 0.77) < 1e-12
 
 
 def _decode_on_torus(cs, boxes, counter=None):
@@ -365,6 +395,40 @@ def test_non_finite_inputs_rejected(scheme_multi):
     bad = np.full((1, 2 * scheme_multi.dim), np.nan)
     with pytest.raises(ValueError):
         decode_batch(scheme_multi, bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[True], ["0.3"], np.array([0.3], dtype=object), [0.3 + 0.0j]],
+    ids=["bool", "str", "object", "complex"],
+)
+def test_codec_refuses_arrays_of_non_numbers(scheme_multi, bad):
+    # numpy would read a boolean as 1.0 and the string "0.3" as 0.3
+    s = scheme_multi
+    with pytest.raises(ValueError, match="encoder input must be numbers"):
+        encode_batch(s, bad)
+    if not isinstance(bad[0], float):
+        with pytest.raises(ValueError, match="encoder input must be numbers"):
+            encode(s, bad[0])
+    rows = np.resize(np.asarray(bad), (1, 2 * s.dim))
+    for decoder in (decode_batch, decode_exhaustive_batch):
+        with pytest.raises(ValueError, match="received vectors must be numbers"):
+            decoder(s, rows)
+    with pytest.raises(ValueError, match="received vectors must be numbers"):
+        decode(s, rows[0])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+def test_codec_takes_integer_and_float_arrays(scheme_multi, dtype):
+    s = scheme_multi
+    assert np.array_equal(encode_batch(s, np.zeros(2, dtype=dtype)), encode_batch(s, np.zeros(2)))
+    assert np.array_equal(encode(s, dtype(0)), encode(s, 0.0))
+    rows = np.arange(1, 2 * s.dim + 1, dtype=dtype)[None, :]
+    for got, want in zip(decode_batch(s, rows), decode_batch(s, rows.astype(float))):
+        assert np.array_equal(got, want)
+    assert decode(s, rows[0]) == decode(s, rows[0].astype(float))
+    ml = decode_exhaustive_batch(s, rows.astype(float), grid=1000)
+    assert np.array_equal(decode_exhaustive_batch(s, rows, grid=1000), ml)
 
 
 def test_decode_undecodable(scheme_multi):

@@ -95,6 +95,9 @@ def test_config_validation():
         SimConfig(sigma=-0.1, trials=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(sigma=0.1, trials=0, seed=1)
+    # an integer or numpy sigma is stored as the float it stands for
+    for sigma in (1, np.float32(0.5)):
+        assert type(SimConfig(sigma=sigma, trials=10, seed=1).sigma) is float
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
@@ -113,6 +116,8 @@ def test_config_rejects_non_finite_sigma(sigma):
         ("seed", 1.0, "seed must be a nonnegative integer"),
         ("seed", False, "seed must be a nonnegative integer"),
         ("seed", np.int64(-3), "seed must be a nonnegative integer"),
+        ("sigma", True, "sigma must be a number"),
+        ("sigma", "0.1", "sigma must be a number"),
     ],
 )
 def test_config_rejects_non_integer_trials_and_bad_seed(field, value, message):
