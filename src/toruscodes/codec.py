@@ -19,8 +19,10 @@ lattices._line_lattice builds for design too), so the second stage is a
 closest-vector search in that lattice: Babai rounding, certified when the
 rounded point lies within half the shortest lattice vector (found by
 enumeration on the same reduced rows), and an exact enumeration for the
-rows it cannot certify.  One reduction per curve gives
-the table all of it.  Its work does not depend on the curve length ||u||_1.
+rows it cannot certify.  One reduction per curve gives the table all of it,
+and gives the scheme its line spacings too (SchemeCode._spacings, which
+run_mse reads), so a loaded curve is reduced once.  The search's work does
+not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
-from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice, _shortest
+from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice, _shortest, _spacing_of
 from .torus import _embed, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
@@ -155,8 +157,9 @@ class SchemeCode:
 
     @cached_property
     def _spacings(self) -> np.ndarray:
-        """(M,) the curves' line spacings."""
-        return _frozen(np.array([cs.spacing for cs in self.curves]))
+        """(M,) the curves' line spacings, from the rows the decoder table
+        reduced: the bits of cs.spacing, without a second reduction."""
+        return _frozen(np.array([_spacing_of(b / _TWO_PI) for b in self._line_lattices.basis]))
 
     @cached_property
     def _radii(self) -> np.ndarray:
@@ -238,11 +241,15 @@ def build_scheme(curves, alpha: float = 1.0, guard: float = 0.0) -> SchemeCode:
 
 def _numbers(a, what: str) -> np.ndarray:
     """a as a float array; booleans, strings, objects and complex numbers
-    raise ValueError, as torus._number does for one number."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be numbers, got dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    raise ValueError, as torus._number does for one number.  numpy reads a
+    boolean among numbers as 0 or 1, so the entries of an input that is not
+    yet an array are looked at too; an array's dtype already tells."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iuf" or (not isinstance(a, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(a, dtype=object).flat
+    )):
+        raise ValueError(f"{what} must be numbers, not booleans, strings, objects or complex")
+    return arr.astype(float, copy=False)
 
 
 def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
@@ -323,10 +330,14 @@ class _LineLattices:
     parameter, which the scheme's arc map takes to x.  The shortest lattice
     vector, which bounds the Babai certificate, is _shortest of basis[k],
     the rows the table reduced, on the table's own Gram-Schmidt data, so
-    each curve's lattice is reduced and orthogonalised once.
+    each curve's lattice is reduced and orthogonalised once.  The table is
+    the one owner of a loaded curve's reduced rows: SchemeCode._spacings
+    reads the line spacings from basis / (2*pi), the rows line_spacing
+    enumerates, so they equal cs.spacing bit for bit.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
+    basis: np.ndarray  # (M, N-1, N): the reduced line rows, 2*pi times unit scale
     fold: np.ndarray  # (M, N, N): angles -> (coefficients, position along the line)
     offset: np.ndarray  # (M, N-1): position shift per lattice coefficient
     gram: np.ndarray  # (M, N-1, N-1)
@@ -335,9 +346,10 @@ class _LineLattices:
 
     @classmethod
     def build(cls, curves) -> "_LineLattices":
-        kernel, gram, coeffs, gso, shortest = [], [], [], [], []
+        kernel, bases, gram, coeffs, gso, shortest = [], [], [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
+            bases.append(basis)
             g = basis @ basis.T
             kernel.append(np.array(kern, dtype=np.int64))
             gram.append(g)
@@ -349,6 +361,7 @@ class _LineLattices:
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
         fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
         return cls(
+            basis=_frozen(np.stack(bases)),
             fold=_frozen(fold),
             offset=_frozen(np.einsum("kmn,kn->km", np.stack(kernel), _TWO_PI * c * along)),
             gram=_frozen(np.stack(gram)),
@@ -455,7 +468,7 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
 
 def decode(scheme: SchemeCode, y, counter: OpCounter | None = None) -> DecodeResult:
     """Two-stage decoding of a single received vector."""
-    x_hat, layers, undec, fb = decode_batch(scheme, np.asarray(y)[None, :], counter=counter)
+    x_hat, layers, undec, fb = decode_batch(scheme, [y], counter=counter)
     return DecodeResult(
         x_hat=float(x_hat[0]),
         layer=int(layers[0]),
@@ -483,6 +496,14 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     All codewords share norm alpha, so the grid argmin reduces to a dot
     product argmax.  A golden-section pass around the best grid point
     sharpens the estimate to machine precision within one grid cell.
+
+    It is the maximum-likelihood decoder only when a grid cell, an arc of
+    total_length / grid on the curves, is shorter than the fold spacing
+    2*pi*r of the curves (r the line spacing): a coarser grid can miss the
+    fold that holds y and refine on another.  The floor grid >= 1000 does
+    not ensure it: at N=3, delta=0.12 (total length ~7030) a cell at grid
+    1000 is ~7.0 long against fold spacings from ~0.24, and a noiseless
+    encode(0.3) comes back as 0.2993; the default grid's cells are ~0.07.
     """
     if not (_is_int(grid) and grid >= 1000):
         raise ValueError("grid must be an integer of at least 1000")

@@ -37,10 +37,9 @@ import numpy as np
 from .lattices import (  # noqa: F401
     _OVERFLOW,
     LatticeBasis,
-    _gram_schmidt,
     _integer_scale,
     _primitive_entries,
-    _shortest,
+    _spacing_of,
     _unit_line_rows,
     projection_lattice_basis,
     shortest_vector,
@@ -165,13 +164,12 @@ def line_spacing(torus: TorusSpec, u) -> float:
     """Minimum distance between distinct lines of the curve's box pre-image.
 
     Equals the shortest nonzero vector of the projection of diag(c)*Z^N onto
-    the hyperplane orthogonal to u_hat: _shortest of the unit-scale line
+    the hyperplane orthogonal to u_hat: _spacing_of the unit-scale line
     rows (_unit_line_rows), the rows that projection_lattice_basis(torus.c,
     u) holds, so the two routes give the same bits and check the winding
     alike; the torus has checked c.
     """
-    rows = _unit_line_rows(torus.c, u)
-    return _shortest(rows, _gram_schmidt(rows)).norm
+    return _spacing_of(_unit_line_rows(torus.c, u))
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:

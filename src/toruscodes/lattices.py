@@ -486,6 +486,14 @@ def _shortest(rows: np.ndarray, gso: tuple) -> ShortestVectorResult:
     )
 
 
+def _spacing_of(rows: np.ndarray) -> float:
+    """Line spacing of a curve from its reduced line rows at unit scale
+    (_line_lattice's basis / (2*pi)): the norm of their shortest nonzero
+    vector.  curves.line_spacing and the decoder table's spacings both read
+    it here, so the two give the same bits."""
+    return _shortest(rows, _gram_schmidt(rows)).norm
+
+
 def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:
     """Globally shortest nonzero lattice vector by exhaustive enumeration
     (_shortest of the basis rows).  Exact for rank <= 8; ties are broken by

@@ -14,6 +14,7 @@ from toruscodes import (
     CurveSpec,
     OpCounter,
     SchemeCode,
+    SimConfig,
     TorusSpec,
     build_scheme,
     decode,
@@ -29,9 +30,10 @@ from toruscodes import (
     make_curve,
     projection_lattice_basis,
     reduce_to_box,
+    run_mse,
     search_best_w,
 )
-from toruscodes import codec, lattices
+from toruscodes import codec, curves, lattices
 from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
 
@@ -418,6 +420,25 @@ def test_codec_refuses_arrays_of_non_numbers(scheme_multi, bad):
         decode(s, rows[0])
 
 
+def test_codec_refuses_a_boolean_among_numbers(scheme_multi):
+    # numpy reads a list that mixes a boolean with floats as a float array,
+    # so the entries themselves are looked at
+    s = scheme_multi
+    for bad in ([False, 0.5], [0.5, np.True_]):
+        with pytest.raises(ValueError, match="encoder input must be numbers"):
+            encode_batch(s, bad)
+    row = [True, *encode(s, 0.3)[1:]]
+    for decoder in (decode_batch, decode_exhaustive_batch):
+        with pytest.raises(ValueError, match="received vectors must be numbers"):
+            decoder(s, [row])
+    with pytest.raises(ValueError, match="received vectors must be numbers"):
+        decode(s, row)
+    # a list of numbers, numpy scalars among them, still decodes as its array
+    row = [np.float64(1.0), *encode(s, 0.3)[1:].tolist()]
+    assert decode(s, row) == decode(s, np.array(row))
+    assert np.array_equal(encode_batch(s, [0, np.float32(0.5)]), encode_batch(s, [0.0, 0.5]))
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
 def test_codec_takes_integer_and_float_arrays(scheme_multi, dtype):
     s = scheme_multi
@@ -741,7 +762,7 @@ def test_cached_scheme_arrays_are_read_only(scheme_multi):
     decode(s, encode(s, 0.3))
     table = s._line_lattices
     arrays = [s._arcs, s._spacings, s._radii, s._u_hats]
-    arrays += [table.fold, table.offset, table.gram, table.certified2]
+    arrays += [table.basis, table.fold, table.offset, table.gram, table.certified2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -757,6 +778,23 @@ def test_first_decode_reduces_each_curve_once(scheme_multi):
     with mock.patch.object(lattices, "_lll", wraps=lattices._lll) as lll:
         decode(s, y)
     assert lll.call_count == s.n_layers
+    # run_mse also reads the line spacings, which come from the table's rows
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    with mock.patch.object(lattices, "_lll", wraps=lattices._lll) as lll:
+        run_mse(s, SimConfig(sigma=0.01, trials=100, seed=1))
+    assert lll.call_count == s.n_layers
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spacings_come_from_the_table_with_the_bits_of_line_spacing(designed_schemes, n):
+    # a loaded scheme's spacings never go through CurveSpec.spacing, yet
+    # equal the ones design computed through curves.line_spacing
+    s = SchemeCode.from_dict(designed_schemes[n].to_dict())
+    with mock.patch.object(curves, "line_spacing", side_effect=AssertionError):
+        spacings = s._spacings
+    assert all("spacing" not in cs.__dict__ for cs in s.curves)
+    assert np.array_equal(spacings, [cs.spacing for cs in designed_schemes[n].curves])
+    assert np.array_equal(spacings, [cs.spacing for cs in s.curves])
 
 
 def test_first_decode_runs_one_gram_schmidt_per_curve(scheme_multi):
