@@ -17,12 +17,16 @@ two, and the decoders take any finite vector.  The lines of the box
 pre-image sit at the points of the curve's rank-(N-1) line lattice (the one
 lattices._line_lattice builds for design too), so the second stage is a
 closest-vector search in that lattice: Babai rounding, certified when the
-rounded point lies within half the shortest lattice vector (found by
-enumeration on the same reduced rows), and an exact enumeration for the
-rows it cannot certify.  One reduction per curve gives the table all of it,
-and gives the scheme its line spacings too (SchemeCode._spacings, which
-run_mse reads), so a loaded curve is reduced once.  The search's work does
-not depend on the curve length ||u||_1.
+rounded point lies within half the shortest lattice vector, and an exact
+enumeration for the rows it cannot certify.  That shortest vector is the
+curve's line spacing, so the certificate is half the spacing.  Per curve,
+one reduction, one Gram-Schmidt and one shortest-vector search give the
+table all of it, and give the scheme its line spacings too
+(SchemeCode._spacings, which run_mse reads).  The lattice search runs on the
+unit-scale rows that curves.line_spacing reads, so the spacings have its
+bits; the map from received angles to lattice coefficients runs at the 2*pi
+scale of the box pre-image.  The search's work does not depend on the curve
+length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
@@ -37,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
-from .lattices import _closest_in_ball, _gram_schmidt, _line_lattice, _shortest, _spacing_of
+from .lattices import _closest_in_ball, _line_lattice, _spacing_of
 from .torus import _embed, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
@@ -57,11 +61,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
-# received rows per grid scan of decode_exhaustive_batch, bounding its
-# (rows, grid) dot-product block
-_EXHAUSTIVE_CHUNK = 128
-# scores per tile of the layer scan, bounding its (rows, M) block to 512 KB
-# while M <= _LAYER_TILE / 2
+# scores per tile of the layer scan and the grid oracle's scan, bounding a
+# (rows, M) or (rows, grid) block to 512 KB while M or grid <= _LAYER_TILE / 2
 _LAYER_TILE = 1 << 16
 # _received passes a received row unscaled when its largest |coordinate| lies
 # in [_MAG_LOW, _MAG_HIGH).  Then each pair magnitude is below 2**500.5, so
@@ -155,11 +156,11 @@ class SchemeCode:
         g = self.guard / self.lengths
         return _frozen(np.stack((lows, self.breakpoints - lows, g / 2.0, 1.0 - g), axis=1))
 
-    @cached_property
+    @property
     def _spacings(self) -> np.ndarray:
-        """(M,) the curves' line spacings, from the rows the decoder table
-        reduced: the bits of cs.spacing, without a second reduction."""
-        return _frozen(np.array([_spacing_of(b / _TWO_PI) for b in self._line_lattices.basis]))
+        """(M,) the curves' line spacings, the decoder table's: the bits of
+        cs.spacing, without a second reduction or search."""
+        return self._line_lattices.spacing
 
     @cached_property
     def _radii(self) -> np.ndarray:
@@ -286,27 +287,35 @@ def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
     magnitudes of a row in _received's range, so no square overflows, and a
     square that underflows lies below the largest one's last bit.
 
-    The scan runs in tiles of rows whose (rows, M) score block holds at most
-    max(_LAYER_TILE, 2*M) scores (a tile has at least two rows), so its
-    memory does not grow with the layer count M.  An exact tie goes the way
-    BLAS rounds it: a one-row product and a product of two or more rows can
-    settle it differently, so the scan never makes a tile of one row out of
-    a larger batch.
+    The scan runs in _best_columns' bounded tiles, so its memory does not
+    grow with the layer count M, and an exact tie goes the way BLAS rounds
+    it.
     """
     # np.linalg.norm's arithmetic, without its per-call dispatch
     norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
     unit = gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
-    radii_t = scheme._radii.T
-    b = len(unit)
-    rows = max(2, _LAYER_TILE // radii_t.shape[1])
-    layers = np.empty(b, dtype=np.intp)
-    for start in range(0, b, rows):
+    return _best_columns(unit, scheme._radii.T)
+
+
+def _best_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmax over each row of a @ b, computed in tiles of rows whose score
+    block holds at most max(_LAYER_TILE, 2 * b.shape[1]) scores (a tile has at
+    least two rows), so the memory does not grow with the row count of a.
+    The layer scan and the grid oracle both scan here.  An exact tie goes
+    the way BLAS rounds it: a one-row product and a product of two or more
+    rows can settle it differently, so the scan never makes a tile of one
+    row out of a larger batch.
+    """
+    n = len(a)
+    rows = max(2, _LAYER_TILE // b.shape[1])
+    best = np.empty(n, dtype=np.intp)
+    for start in range(0, n, rows):
         # no tile of one row in a batch of more: BLAS takes a single row
         # through another kernel, whose rounding can break an exact tie the
         # other way, so a one-row tail starts a row early
-        tile = slice(min(start, b - 2), start + rows)
-        layers[tile] = (unit[tile] @ radii_t).argmax(axis=1)
-    return layers
+        tile = slice(min(start, n - 2), start + rows)
+        best[tile] = (a[tile] @ b).argmax(axis=1)
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +324,8 @@ class _LineLattices:
 
     Curve k's box pre-image is the set of lines {2*pi*(u_hat*x + c*n)}; the
     line n lies at lattice point z @ basis[k] of the hyperplane orthogonal to
-    u_hat, with n = z @ kernel[k] (see lattices._line_lattice).  Received
+    u_hat, with n = z @ kernel[k] (the reduced rows of lattices._line_lattice,
+    which the table folds into its arrays rather than keeps).  Received
     angles a give the box point p = a*c, whose projection has real
     coefficients t = p @ coeffs[k] in that basis, so the closest line is a
     closest-vector problem in a rank-(N-1) lattice whose cost does not
@@ -327,47 +337,49 @@ class _LineLattices:
     [c*coeffs[k] | c*along[k]], and the position along the line is that last
     column minus z @ offset[k], with offset[k] = kernel[k] @ (2*pi*c*along[k]),
     so the integer line n is never built; taken modulo 1, it is the curve
-    parameter, which the scheme's arc map takes to x.  The shortest lattice
-    vector, which bounds the Babai certificate, is _shortest of basis[k],
-    the rows the table reduced, on the table's own Gram-Schmidt data, so
-    each curve's lattice is reduced and orthogonalised once.  The table is
-    the one owner of a loaded curve's reduced rows: SchemeCode._spacings
-    reads the line spacings from basis / (2*pi), the rows line_spacing
-    enumerates, so they equal cs.spacing bit for bit.
+    parameter, which the scheme's arc map takes to x.  That angle map keeps
+    the 2*pi scale of basis[k]; the lattice search runs on the unit-scale
+    rows basis[k] / (2*pi), the rows curves.line_spacing reads: gram, the
+    Gram-Schmidt data and the shortest vector belong to them.  Their
+    shortest vector is the curve's line spacing, found once per curve
+    (lattices._spacing_of, on the Gram-Schmidt data the enumeration keeps),
+    so spacing equals cs.spacing bit for bit, and SchemeCode._spacings reads
+    it here.  The Babai certificate is half of it: a rounded point closer
+    than half the shortest lattice vector is the unique closest one.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
-    basis: np.ndarray  # (M, N-1, N): the reduced line rows, 2*pi times unit scale
+    spacing: np.ndarray  # (M,): line spacing, the shortest unit-scale line vector
     fold: np.ndarray  # (M, N, N): angles -> (coefficients, position along the line)
     offset: np.ndarray  # (M, N-1): position shift per lattice coefficient
-    gram: np.ndarray  # (M, N-1, N-1)
-    certified2: np.ndarray  # (M,): squared half shortest lattice vector
+    gram: np.ndarray  # (M, N-1, N-1): Gram matrix of the unit-scale rows
+    certified2: np.ndarray  # (M,): squared half spacing, less a margin
     gso: tuple  # per curve (mu, norms2) tuples for the enumeration fallback
 
     @classmethod
     def build(cls, curves) -> "_LineLattices":
-        kernel, bases, gram, coeffs, gso, shortest = [], [], [], [], [], []
+        kernel, gram, coeffs, gso, spacing = [], [], [], [], []
         for cs in curves:
             kern, basis = _line_lattice(cs.torus.c, cs.u)
-            bases.append(basis)
-            g = basis @ basis.T
+            rows = basis / _TWO_PI
+            r, orth = _spacing_of(rows)
             kernel.append(np.array(kern, dtype=np.int64))
-            gram.append(g)
-            coeffs.append(np.linalg.solve(g, basis).T)
-            gso.append(_gram_schmidt(basis))
-            shortest.append(_shortest(basis, gso[-1]).norm)
+            gram.append(rows @ rows.T)
+            coeffs.append(np.linalg.solve(basis @ basis.T, basis).T)
+            gso.append(orth)
+            spacing.append(r)
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
         fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
+        spacing = _frozen(np.array(spacing))
         return cls(
-            basis=_frozen(np.stack(bases)),
+            spacing=spacing,
             fold=_frozen(fold),
             offset=_frozen(np.einsum("kmn,kn->km", np.stack(kernel), _TWO_PI * c * along)),
             gram=_frozen(np.stack(gram)),
-            # a lattice point closer than half the shortest vector is the
-            # unique closest one; the margin absorbs rounding
-            certified2=_frozen((np.array(shortest) / 2.0) ** 2 * (1.0 - 1e-9)),
+            # the margin absorbs rounding
+            certified2=_frozen((spacing / 2.0) ** 2 * (1.0 - 1e-9)),
             gso=tuple(gso),
         )
 
@@ -494,8 +506,10 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     """Maximum-likelihood oracle: grid argmin of ||y - s(x)|| plus refinement.
 
     All codewords share norm alpha, so the grid argmin reduces to a dot
-    product argmax.  A golden-section pass around the best grid point
-    sharpens the estimate to machine precision within one grid cell.
+    product argmax, scanned in _best_columns' bounded tiles, so the scan's
+    memory stays small at any grid.  A golden-section pass around the best
+    grid point sharpens the estimate to machine precision within one grid
+    cell.
 
     It is the maximum-likelihood decoder only when a grid cell, an arc of
     total_length / grid on the curves, is shorter than the fold spacing
@@ -510,13 +524,9 @@ def decode_exhaustive_batch(scheme: SchemeCode, ys, grid: int = 100_000):
     ys = _received(scheme, ys)
     xs_grid = np.arange(grid) / grid
     codebook = encode_batch(scheme, xs_grid)  # (G, 2N)
-    b = ys.shape[0]
-    best_idx = np.empty(b, dtype=np.int64)
-    for start in range(0, b, _EXHAUSTIVE_CHUNK):
-        sl = slice(start, start + _EXHAUSTIVE_CHUNK)
-        dots = ys[sl] @ codebook.T
-        best_idx[sl] = np.argmax(dots, axis=1)
-    x0 = xs_grid[best_idx]
+    # a C-ordered (2N, G) copy: BLAS multiplies the scan's two-row tiles by
+    # it faster than by the transposed view
+    x0 = xs_grid[_best_columns(ys, np.ascontiguousarray(codebook.T))]
     # golden-section on f(x) = -<y, s(x)> over one grid cell
     out = _golden_section(
         lambda x: -np.einsum("bn,bn->b", ys, encode_batch(scheme, x)),

@@ -167,9 +167,11 @@ def line_spacing(torus: TorusSpec, u) -> float:
     the hyperplane orthogonal to u_hat: _spacing_of the unit-scale line
     rows (_unit_line_rows), the rows that projection_lattice_basis(torus.c,
     u) holds, so the two routes give the same bits and check the winding
-    alike; the torus has checked c.
+    alike; the torus has checked c.  The decoder table runs the same
+    _spacing_of on the same rows of a loaded curve, so its spacing, and the
+    Babai certificate that is half of it, carry these bits too.
     """
-    return _spacing_of(_unit_line_rows(torus.c, u))
+    return _spacing_of(_unit_line_rows(torus.c, u))[0]
 
 
 def small_ball_bounds(torus: TorusSpec, r: float) -> tuple[float, float]:

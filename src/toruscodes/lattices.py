@@ -486,12 +486,16 @@ def _shortest(rows: np.ndarray, gso: tuple) -> ShortestVectorResult:
     )
 
 
-def _spacing_of(rows: np.ndarray) -> float:
+def _spacing_of(rows: np.ndarray) -> tuple[float, tuple]:
     """Line spacing of a curve from its reduced line rows at unit scale
-    (_line_lattice's basis / (2*pi)): the norm of their shortest nonzero
-    vector.  curves.line_spacing and the decoder table's spacings both read
-    it here, so the two give the same bits."""
-    return _shortest(rows, _gram_schmidt(rows)).norm
+    (_line_lattice's basis / (2*pi)), the norm of their shortest nonzero
+    vector, and the rows' _gram_schmidt data that the search ran on.
+    curves.line_spacing and the decoder table both read the spacing here, so
+    the two give the same bits; the table keeps the Gram-Schmidt data for
+    its closest-vector enumeration, so each curve is orthogonalised and
+    searched once."""
+    gso = _gram_schmidt(rows)
+    return _shortest(rows, gso).norm, gso
 
 
 def shortest_vector(basis: LatticeBasis) -> ShortestVectorResult:

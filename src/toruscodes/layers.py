@@ -127,8 +127,13 @@ def _distance2(points, columns) -> np.ndarray:
     """Squared distances from the rows of points to the columns.
 
     Squared differences are summed coordinate by coordinate in index order,
-    as np.linalg.norm sums fewer than 8 terms, and sqrt is monotone, so a
-    sqrt taken after a min gives the bits of the min of the norms.  The
+    as np.linalg.norm(d, axis=1) sums fewer than 8 terms, so below 8
+    coordinates the sqrt of a distance here has the bits of that row norm,
+    the greedy reference of the layer tests; sqrt is monotone, so a sqrt taken after a min gives the
+    bits of the min of the norms.  torus._row_norms, which gives
+    achieved_sep, follows the 1-D np.linalg.norm instead, a BLAS dot, and
+    the two differ in the last bit on about 9-15% of random pairs at N = 2
+    to 7; LayerCodebook's 1e-12 slack on min_sep absorbs that.  The
     temporaries are two arrays of one float per (point, column) pair.
     """
     d2 = points[:, 0, None] - columns[0]

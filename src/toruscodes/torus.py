@@ -113,9 +113,12 @@ def reduce_to_box(torus: TorusSpec, u) -> np.ndarray:
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    # one dot product per row, the same kernel np.linalg.norm uses for a
-    # single vector; norm(..., axis=1) sums differently and can differ in
-    # the last bit, which would move minimum separations
+    """Norms of the rows of d with the bits of the 1-D np.linalg.norm of
+    each, one BLAS dot product per row, for inter_torus_distance,
+    min_separation and so LayerCodebook.achieved_sep.  np.linalg.norm(d,
+    axis=1), whose index-order sum layers._distance2 follows for the layer
+    greedy, differs from it in the last bit on about 9-15% of random pairs
+    at N = 2 to 7; LayerCodebook's 1e-12 slack on min_sep absorbs that."""
     d = np.ascontiguousarray(d)
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -762,7 +763,7 @@ def test_cached_scheme_arrays_are_read_only(scheme_multi):
     decode(s, encode(s, 0.3))
     table = s._line_lattices
     arrays = [s._arcs, s._spacings, s._radii, s._u_hats]
-    arrays += [table.basis, table.fold, table.offset, table.gram, table.certified2]
+    arrays += [table.spacing, table.fold, table.offset, table.gram, table.certified2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -795,17 +796,41 @@ def test_spacings_come_from_the_table_with_the_bits_of_line_spacing(designed_sch
     assert all("spacing" not in cs.__dict__ for cs in s.curves)
     assert np.array_equal(spacings, [cs.spacing for cs in designed_schemes[n].curves])
     assert np.array_equal(spacings, [cs.spacing for cs in s.curves])
+    # the Babai certificate is the squared half spacing, less its margin
+    table = s._line_lattices
+    assert np.array_equal(table.certified2, (table.spacing / 2) ** 2 * (1 - 1e-9))
+
+
+def _call_counts(run, *functions):
+    """Calls of each function while run() runs, whatever name its caller
+    reached it by: a module may hold it under its own import."""
+    codes = [f.__code__ for f in functions]
+    counts = [0] * len(functions)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
 
 
 def test_first_decode_runs_one_gram_schmidt_per_curve(scheme_multi):
     # the table's enumeration data and its shortest-vector search share one
-    # Gram-Schmidt per curve
+    # Gram-Schmidt per curve, and that one search gives both the Babai
+    # certificate and the line spacings run_mse reads
+    searches = (lattices._gram_schmidt, lattices._shortest)
     s = SchemeCode.from_dict(scheme_multi.to_dict())
     y = encode(s, 0.3)
-    with mock.patch.object(lattices, "_gram_schmidt", wraps=lattices._gram_schmidt) as gs:
-        with mock.patch.object(codec, "_gram_schmidt", gs):
-            decode(s, y)
-    assert gs.call_count == s.n_layers
+    assert _call_counts(lambda: decode(s, y), *searches) == [s.n_layers] * 2
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    config = SimConfig(sigma=0.01, trials=100, seed=1)
+    assert _call_counts(lambda: run_mse(s, config), *searches) == [s.n_layers] * 2
 
 
 def test_line_lattices_is_a_closest_line_table(scheme_multi):
@@ -873,6 +898,21 @@ def test_decode_memory_does_not_grow_with_layer_count():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_grid_oracle_memory_is_bounded_by_its_tiles(designed_schemes):
+    # 200 rows against the default grid of 100 000 would need a 160 MB score
+    # block at once; in tiles the grid's codebook dominates the peak
+    s = designed_schemes[4]
+    rng = np.random.default_rng(200)
+    ys = encode_batch(s, rng.random(200)) + 0.01 * rng.standard_normal((200, 2 * s.dim))
+    tracemalloc.start()
+    try:
+        decode_exhaustive_batch(s, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 def test_operation_count_independent_of_curve_length(lifting_schemes, rng):
