@@ -14,19 +14,19 @@ stages read only directions and angles, so they do not depend on the scale
 of the received vector: _received, the one entry check of both decoders,
 scales a row whose coordinates would overflow or underflow by a power of
 two, and the decoders take any finite vector.  The lines of the box
-pre-image sit at the points of the curve's rank-(N-1) line lattice (the one
-lattices._line_lattice builds for design too), so the second stage is a
-closest-vector search in that lattice: Babai rounding, certified when the
-rounded point lies within half the shortest lattice vector, and an exact
-enumeration for the rows it cannot certify.  That shortest vector is the
-curve's line spacing, so the certificate is half the spacing.  Per curve,
-one reduction, one Gram-Schmidt and one shortest-vector search give the
-table all of it, and give the scheme its line spacings too
-(SchemeCode._spacings, which run_mse reads).  The lattice search runs on the
-unit-scale rows that curves.line_spacing reads, so the spacings have its
-bits; the map from received angles to lattice coefficients runs at the 2*pi
-scale of the box pre-image.  The search's work does not depend on the curve
-length ||u||_1.
+pre-image sit at the points of the curve's rank-(N-1) line lattice, so the
+second stage is a closest-vector search in that lattice: Babai rounding,
+certified when the rounded point lies within half the shortest lattice
+vector, and an exact enumeration for the rows it cannot certify.  That
+shortest vector is the curve's line spacing, so the certificate is half the
+spacing.  Each CurveSpec owns its reduced line lattice (CurveSpec._lattice:
+one reduction, one Gram-Schmidt and one shortest-vector search, whoever
+asks first), and the table reads it there, so a designed curve is not
+reduced again and the table's spacings, which run_mse reads
+(SchemeCode._spacings), are cs.spacing.  The lattice search runs on the
+unit-scale rows of the spacing; the map from received angles to lattice
+coefficients runs at the 2*pi scale of the box pre-image.  The search's
+work does not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
-from .lattices import _closest_in_ball, _line_lattice, _spacing_of
+from .lattices import _closest_in_ball
 from .torus import _embed, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
@@ -324,8 +324,9 @@ class _LineLattices:
 
     Curve k's box pre-image is the set of lines {2*pi*(u_hat*x + c*n)}; the
     line n lies at lattice point z @ basis[k] of the hyperplane orthogonal to
-    u_hat, with n = z @ kernel[k] (the reduced rows of lattices._line_lattice,
-    which the table folds into its arrays rather than keeps).  Received
+    u_hat, with n = z @ kernel[k] (kernel and basis being the reduced line
+    lattice of CurveSpec._lattice, which the table folds into its arrays
+    rather than keeps).  Received
     angles a give the box point p = a*c, whose projection has real
     coefficients t = p @ coeffs[k] in that basis, so the closest line is a
     closest-vector problem in a rank-(N-1) lattice whose cost does not
@@ -339,13 +340,13 @@ class _LineLattices:
     so the integer line n is never built; taken modulo 1, it is the curve
     parameter, which the scheme's arc map takes to x.  That angle map keeps
     the 2*pi scale of basis[k]; the lattice search runs on the unit-scale
-    rows basis[k] / (2*pi), the rows curves.line_spacing reads: gram, the
-    Gram-Schmidt data and the shortest vector belong to them.  Their
-    shortest vector is the curve's line spacing, found once per curve
-    (lattices._spacing_of, on the Gram-Schmidt data the enumeration keeps),
-    so spacing equals cs.spacing bit for bit, and SchemeCode._spacings reads
-    it here.  The Babai certificate is half of it: a rounded point closer
-    than half the shortest lattice vector is the unique closest one.
+    rows basis[k] / (2*pi), the rows of the curve's spacing: gram and the
+    Gram-Schmidt data belong to them.  Their shortest vector is the curve's
+    line spacing, which the curve's lattice holds with the Gram-Schmidt
+    data its search ran on, so spacing is cs.spacing by construction, and
+    SchemeCode._spacings reads it here.  The Babai certificate is half of
+    it: a rounded point closer than half the shortest lattice vector is the
+    unique closest one.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -360,9 +361,8 @@ class _LineLattices:
     def build(cls, curves) -> "_LineLattices":
         kernel, gram, coeffs, gso, spacing = [], [], [], [], []
         for cs in curves:
-            kern, basis = _line_lattice(cs.torus.c, cs.u)
+            kern, basis, r, orth = cs._lattice
             rows = basis / _TWO_PI
-            r, orth = _spacing_of(rows)
             kernel.append(np.array(kern, dtype=np.int64))
             gram.append(rows @ rows.T)
             coeffs.append(np.linalg.solve(basis @ basis.T, basis).T)

@@ -38,6 +38,7 @@ from .lattices import (  # noqa: F401
     _OVERFLOW,
     LatticeBasis,
     _integer_scale,
+    _line_lattice,
     _primitive_entries,
     _spacing_of,
     _unit_line_rows,
@@ -86,11 +87,11 @@ class CurveSpec:
     nonzero entry the constructor makes positive.
 
     The rest is derived on first use and cached: u_hat = c*u, the length
-    2*pi*||u_hat||, the line spacing r of the box pre-image, and
-    ball_lower/ball_upper, which bracket the small-ball radius (the largest
-    non-self-intersecting tube radius around the curve, as chord length in
-    the ambient space) and raise OutOfRangeError outside the window of
-    small_ball_bounds.
+    2*pi*||u_hat||, the reduced line lattice of the box pre-image
+    (_lattice), its line spacing r, and ball_lower/ball_upper, which
+    bracket the small-ball radius (the largest non-self-intersecting tube
+    radius around the curve, as chord length in the ambient space) and
+    raise OutOfRangeError outside the window of small_ball_bounds.
     """
 
     torus: TorusSpec
@@ -114,8 +115,19 @@ class CurveSpec:
         return _TWO_PI * float(np.linalg.norm(self.u_hat))
 
     @cached_property
+    def _lattice(self) -> tuple:
+        """(kernel, basis, spacing, gso): the reduced line lattice of
+        lattices._line_lattice, the line spacing r that _spacing_of finds on
+        its unit-scale rows basis / (2*pi), and their Gram-Schmidt data.
+        Each curve is reduced and searched once, whoever asks first: spacing
+        (and through it the ball bounds and to_dict), or the decoder table,
+        which reads all four."""
+        kernel, basis = _line_lattice(self.torus.c, self.u)
+        return (kernel, basis, *_spacing_of(basis / _TWO_PI))
+
+    @cached_property
     def spacing(self) -> float:
-        return line_spacing(self.torus, self.u)
+        return self._lattice[2]
 
     @cached_property
     def ball_lower(self) -> float:
@@ -167,9 +179,9 @@ def line_spacing(torus: TorusSpec, u) -> float:
     the hyperplane orthogonal to u_hat: _spacing_of the unit-scale line
     rows (_unit_line_rows), the rows that projection_lattice_basis(torus.c,
     u) holds, so the two routes give the same bits and check the winding
-    alike; the torus has checked c.  The decoder table runs the same
-    _spacing_of on the same rows of a loaded curve, so its spacing, and the
-    Babai certificate that is half of it, carry these bits too.
+    alike; the torus has checked c.  This is the route for a raw winding:
+    a CurveSpec's spacing runs the same _spacing_of on the same rows, once,
+    in its cached line lattice, which the decoder table reads too.
     """
     return _spacing_of(_unit_line_rows(torus.c, u))[0]
 
@@ -322,11 +334,19 @@ def lifting_dual_basis(target: TargetLattice, c, w: int) -> LatticeBasis:
     target lattice.
     """
     c = _check_lifting_args(target, c, w)
-    m = target.dim
-    rows = np.zeros((m, c.size))
-    rows[:, :m] = _window_floors(target, c, [w])[0] / c[:m]
-    rows[np.arange(m), np.arange(1, m + 1)] = 1.0 / c[1:]
-    return LatticeBasis(rows)
+    return LatticeBasis(_lifting_rows(_window_floors(target, c, [w]), c)[0])
+
+
+def _lifting_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows k_i / c of windows with floors a (shape (B, m, m)), where
+    k_i = (a[i][0], ..., a[i][i], 1, 0, ..., 0) are the window's lifting rows
+    (K u = 0 for its winding u); c is one scale vector, or one row per
+    window.  Shape (B, m, m + 1)."""
+    m = a.shape[1]
+    k = np.zeros((a.shape[0], m, m + 1))
+    k[:, :, :m] = a
+    k[:, np.arange(m), np.arange(1, m + 1)] = 1.0
+    return k / c[..., None, :]
 
 
 _EXACT_BOUND = 2.0**61  # float bound on |u| beyond which windings use Python ints
@@ -474,12 +494,8 @@ def _screen_line_vectors(a, c: np.ndarray, bound2):
     far longer than its projection and would lose the projection to
     cancellation.
     """
-    m = a.shape[1]
-    signs = _SIGNS[m]
-    k = np.zeros((a.shape[0], m, m + 1))
-    k[:, :, :m] = a
-    k[:, np.arange(m), np.arange(1, m + 1)] = 1.0
-    k /= c[..., None, :]
+    signs = _SIGNS[a.shape[1]]
+    k = _lifting_rows(a, c)
     gram = np.linalg.inv(k @ k.transpose(0, 2, 1))
     norm2 = np.einsum("qi,bij,qj->bq", signs, gram, signs)
     best = norm2.argmin(axis=1)

@@ -275,12 +275,18 @@ def _line_lattice(c, u) -> tuple[list[list[int]], np.ndarray]:
     ker(s) reduce as their projections, and size reduction against u makes
     each the index of its line nearest the hyperplane,
     |<c*n, u_hat>| <= ||u_hat||^2 / 2.  All of it is exact integer
-    arithmetic, with one rounding per returned float.  Returns (kernel,
-    basis): the reduced rows (N-1 lists of N ints) and their projections
-    P(2*pi*c*n) (N-1, N), row for row.  The rows are independent, since
-    the reduction is unimodular, and carry no further check.
+    arithmetic up to the projections: each entry of P(c*n) is the exact
+    rational rounded once, and the basis entry is that float times a
+    rounded 2*pi, rounded again (the unit-scale rows that the spacing
+    reads divide it by 2*pi once more).  Returns (kernel, basis): the
+    reduced rows (N-1 lists of N ints) and their projections P(2*pi*c*n)
+    (N-1, N), row for row.  The rows are independent, since the reduction
+    is unimodular, and carry no further check.  u must be primitive;
+    N < 2 raises ValueError.
     """
     u = [int(x) for x in u]
+    if len(u) < 2:
+        raise ValueError("need ambient dimension >= 2")
     s = _bezout(u)
     # c = a / den exactly, so n -> c*n is n -> a*n scaled, and
     # P(c*n) = a*(d*n - t*u) / (den*d) with the integers d = <a*u, a*u> and
@@ -325,8 +331,6 @@ def _unit_line_rows(c: np.ndarray, u) -> np.ndarray:
     """_line_lattice's basis / (2*pi) for radii c (a checked float vector);
     u must be primitive (InvalidDirectionError if zero), and N >= 2."""
     u = _primitive_entries(u, c.size, zero_error=InvalidDirectionError)
-    if c.size < 2:
-        raise ValueError("need ambient dimension >= 2")
     return _line_lattice(c, u)[1] / (2.0 * math.pi)
 
 
@@ -490,10 +494,10 @@ def _spacing_of(rows: np.ndarray) -> tuple[float, tuple]:
     """Line spacing of a curve from its reduced line rows at unit scale
     (_line_lattice's basis / (2*pi)), the norm of their shortest nonzero
     vector, and the rows' _gram_schmidt data that the search ran on.
-    curves.line_spacing and the decoder table both read the spacing here, so
-    the two give the same bits; the table keeps the Gram-Schmidt data for
-    its closest-vector enumeration, so each curve is orthogonalised and
-    searched once."""
+    CurveSpec's line lattice and curves.line_spacing both read the spacing
+    here, so the two give the same bits; the curve keeps the Gram-Schmidt
+    data, which the decoder table reads for its closest-vector enumeration,
+    so each curve is orthogonalised and searched once."""
     gso = _gram_schmidt(rows)
     return _shortest(rows, gso).norm, gso
 

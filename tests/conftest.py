@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,25 @@ def brute_projection_shortest(c, u, box=3):
     norms = np.linalg.norm(proj, axis=1)
     nonzero = norms > 1e-9
     return float(norms[nonzero].min())
+
+
+def _call_counts(run, *functions):
+    """Calls of each function while run() runs, whatever name its caller
+    reached it by: a module may hold it under its own import."""
+    codes = [f.__code__ for f in functions]
+    counts = [0] * len(functions)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
 
 
 @pytest.fixture(scope="session")

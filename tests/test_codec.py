@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import json
 import math
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -37,6 +36,7 @@ from toruscodes import (
 from toruscodes import codec, curves, lattices
 from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
+from conftest import _call_counts
 
 SQ3 = math.sqrt(3.0)
 
@@ -801,25 +801,6 @@ def test_spacings_come_from_the_table_with_the_bits_of_line_spacing(designed_sch
     assert np.array_equal(table.certified2, (table.spacing / 2) ** 2 * (1 - 1e-9))
 
 
-def _call_counts(run, *functions):
-    """Calls of each function while run() runs, whatever name its caller
-    reached it by: a module may hold it under its own import."""
-    codes = [f.__code__ for f in functions]
-    counts = [0] * len(functions)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes.index(frame.f_code)] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return counts
-
-
 def test_first_decode_runs_one_gram_schmidt_per_curve(scheme_multi):
     # the table's enumeration data and its shortest-vector search share one
     # Gram-Schmidt per curve, and that one search gives both the Babai
@@ -831,6 +812,45 @@ def test_first_decode_runs_one_gram_schmidt_per_curve(scheme_multi):
     s = SchemeCode.from_dict(scheme_multi.to_dict())
     config = SimConfig(sigma=0.01, trials=100, seed=1)
     assert _call_counts(lambda: run_mse(s, config), *searches) == [s.n_layers] * 2
+
+
+def test_design_then_decode_reduces_no_curve_again():
+    # design reduced and searched each curve once for its spacing; the
+    # decoder table, and the line spacings run_mse reads, come from that
+    searches = (lattices._lll, lattices._gram_schmidt, lattices._shortest)
+    config = SimConfig(sigma=0.01, trials=100, seed=1)
+    for n in (3, 4):
+        book = design_layers(n, 0.12, min_coordinate=0.06)
+        s = design_scheme(book, 0.12)
+        y = encode(s, 0.3)
+        assert _call_counts(lambda: decode(s, y), *searches) == [0, 0, 0]
+        s = design_scheme(book, 0.12)
+        assert _call_counts(lambda: run_mse(s, config), *searches) == [0, 0, 0]
+
+
+def test_to_dict_after_a_first_decode_reduces_no_curve(scheme_multi):
+    # the table's build reduces each loaded curve once, and the curve keeps
+    # that lattice, whose spacing to_dict writes
+    searches = (lattices._lll, lattices._gram_schmidt, lattices._shortest)
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    y = encode(s, 0.3)
+    assert _call_counts(lambda: decode(s, y), *searches) == [s.n_layers] * 3
+    assert _call_counts(s.to_dict, *searches) == [0, 0, 0]
+    assert s.to_dict() == scheme_multi.to_dict()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_designed_and_reloaded_schemes_decode_alike(designed_schemes, n):
+    # the designed scheme's table reads the lattices design reduced, a
+    # reload's table reduces its curves afresh; at sigma = alpha*delta many
+    # rows go through the enumeration, which reads the Gram-Schmidt data
+    s = designed_schemes[n]
+    reloaded = SchemeCode.from_dict(s.to_dict())
+    rng = np.random.default_rng([n, 28])
+    ys = encode_batch(s, rng.random(4000))
+    ys += s.alpha * 0.12 * rng.standard_normal(ys.shape)
+    for got, want in zip(decode_batch(s, ys), decode_batch(reloaded, ys)):
+        assert np.array_equal(got, want)
 
 
 def test_line_lattices_is_a_closest_line_table(scheme_multi):

@@ -35,7 +35,7 @@ from toruscodes import (
 )
 from toruscodes import curves, design_layers, design_scheme, lattices, simulate
 from toruscodes.curves import _lifting_windings, default_target
-from conftest import brute_projection_shortest, random_primitive, random_torus
+from conftest import _call_counts, brute_projection_shortest, random_primitive, random_torus
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -553,15 +553,19 @@ def test_batch_search_on_exact_integers():
 
     for block in (256, 7, 2):
         dtypes.clear()
+        got = []
         with mock.patch.object(curves, "_SCAN_BLOCK", block), mock.patch.object(
             curves, "_lifting_windings", recorded
-        ), mock.patch.object(curves, "line_spacing", wraps=curves.line_spacing) as spacing:
-            got = curves._search_layers(tori, r_mins, w_max)
+        ):
+            lll = _call_counts(
+                lambda: got.extend(curves._search_layers(tori, r_mins, w_max)), lattices._lll
+            )
         assert [_outcome(f) for f in got] == want
         assert dtypes[0] == object
         # the object wave gets the line-vector screen too: one exact spacing
-        # per hit, none for the torus with r_min 0.02 above its hit
-        assert spacing.call_count == 3
+        # (one reduction) per hit, none for the torus with r_min 0.02 above
+        # its hit
+        assert lll == [3]
 
 
 def test_search_memory_does_not_grow_with_w_max():
@@ -667,13 +671,17 @@ def test_certified_windows_are_rejected(n, c, log_r_min, w_max):
 
 def test_spacing_computed_once_per_designed_curve():
     # at delta 0.12 the certificate rejects every window the exact path
-    # would: one exact spacing per curve, 23 at N=3 and 84 at N=4
-    with mock.patch.object(curves, "line_spacing", wraps=curves.line_spacing) as spacing:
-        schemes = [
+    # would: one exact spacing, so one reduction, per curve, 23 at N=3 and
+    # 84 at N=4
+    schemes = []
+    lll = _call_counts(
+        lambda: schemes.extend(
             design_scheme(design_layers(n, 0.12, min_coordinate=0.06), 0.12) for n in (3, 4)
-        ]
+        ),
+        lattices._lll,
+    )
     assert [s.n_layers for s in schemes] == [23, 84]
-    assert spacing.call_count == 107
+    assert lll == [107]
 
 
 @pytest.mark.parametrize(
