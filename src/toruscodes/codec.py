@@ -7,26 +7,30 @@ g = guard / length.  The curves are closed, so without that arc the two ends
 of a subinterval would meet at one ambient point and a small noise step
 across the closure would cost a whole subinterval.  The decoder first
 extracts per-pair magnitudes and angles from the received vector and picks
-the closest layer from the magnitudes (a linear scan, M*N work, in bounded
-row tiles, so its memory does not grow with M).  It then finds the closest
-line of the chosen curve's box pre-image in the wrapped flat metric.  Both
-stages read only directions and angles, so they do not depend on the scale
-of the received vector: _received, the one entry check of both decoders,
-scales a row whose coordinates would overflow or underflow by a power of
-two, and the decoders take any finite vector.  The lines of the box
-pre-image sit at the points of the curve's rank-(N-1) line lattice, so the
-second stage is a closest-vector search in that lattice: Babai rounding,
-certified when the rounded point lies within half the shortest lattice
-vector, and an exact enumeration for the rows it cannot certify.  That
-shortest vector is the curve's line spacing, so the certificate is half the
-spacing.  Each CurveSpec owns its reduced line lattice (CurveSpec._lattice:
-one reduction, one Gram-Schmidt and one shortest-vector search, whoever
-asks first), and the table reads it there, so a designed curve is not
-reduced again and the table's spacings, which run_mse reads
-(SchemeCode._spacings), are cs.spacing.  The lattice search runs on the
-unit-scale rows of the spacing; the map from received angles to lattice
-coefficients runs at the 2*pi scale of the box pre-image.  The search's
-work does not depend on the curve length ||u||_1.
+the closest layer from the magnitudes.  The answer is that of a linear scan
+(M*N work per row, in bounded row tiles, so its memory does not grow with
+M), but a per-scheme lookup (_LayerLookup, built on the first large decode)
+proves it for most rows in O(N) work: a row lying well inside half the
+distance from its candidate layer to that layer's nearest neighbour has that
+layer as the scan's unique argmax, and only the other rows are scanned.  It
+then finds the closest line of the chosen curve's box pre-image in the
+wrapped flat metric.  Both stages read only directions and angles, so they
+do not depend on the scale of the received vector: _received, the one entry
+check of both decoders, scales a row whose coordinates would overflow or
+underflow by a power of two, and the decoders take any finite vector.  The
+lines of the box pre-image sit at the points of the curve's rank-(N-1) line
+lattice, so the second stage is a closest-vector search in that lattice:
+Babai rounding, certified when the rounded point lies within half the
+shortest lattice vector, and an exact enumeration for the rows it cannot
+certify.  That shortest vector is the curve's line spacing, so the
+certificate is half the spacing.  Each CurveSpec owns its reduced line
+lattice (CurveSpec._lattice: one reduction, one Gram-Schmidt and one
+shortest-vector search, whoever asks first), and the table reads it there,
+so a designed curve is not reduced again and the table's spacings, which
+run_mse reads (SchemeCode._spacings), are cs.spacing.  The lattice search
+runs on the unit-scale rows of the spacing; the map from received angles to
+lattice coefficients runs at the 2*pi scale of the box pre-image.  The
+search's work does not depend on the curve length ||u||_1.
 The second stage reads one per-scheme table (_LineLattices), built on the
 first decode, that takes the received angles straight to lattice
 coefficients and the curve parameter; SchemeCode's arc map takes that back
@@ -42,7 +46,14 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
 from .lattices import _closest_in_ball
-from .torus import _embed, _is_int, _number, inter_torus_distance, min_separation  # noqa: F401
+from .torus import (  # noqa: F401
+    _embed,
+    _is_int,
+    _number,
+    inter_torus_distance,
+    min_separation,
+    separation_rows,
+)
 
 # curve_point and inter_torus_distance stay importable from here, though
 # nothing here calls them: perfbench/traced.py wraps both by name.
@@ -71,10 +82,23 @@ _LAYER_TILE = 1 << 16
 # enough to round as a subnormal is below its last bit
 _MAG_LOW = 2.0**-450
 _MAG_HIGH = 2.0**500
+# the layer lookup certifies a row whose squared distance to its candidate
+# layer k lies below rho_k**2 - _LOOKUP_MARGIN (_LayerLookup's proof)
+_LOOKUP_MARGIN = 1e-9
+# most cells of the layer lookup's candidate grid, one byte each while M <= 256
+_LOOKUP_CELLS = 1 << 16
+# a batch of fewer rows * M scores than this is scanned whole: on the stored
+# schemes (M = 23 and 84) the lookup's fixed cost per call, ~7-12 us, is
+# above the whole scan's cost up to 10-20 thousand scores
+_LOOKUP_SCORES = 1 << 14
 
 
 class OpCounter:
-    """Accumulates scalar multiply/divide counts for complexity checks."""
+    """Accumulates scalar multiply/divide counts for complexity checks.
+
+    decode_batch counts the work it did: for the layer choice, about 2N per
+    row the lookup looked at and M*N per row the scan ran on, so a batch
+    the lookup certifies costs O(N) per row there, not O(M*N)."""
 
     def __init__(self):
         self.mults = 0
@@ -214,6 +238,11 @@ class SchemeCode:
         # deterministic, so two threads racing here store equal values.
         return _LineLattices.build(self.curves)
 
+    @cached_property
+    def _layer_lookup(self) -> "_LayerLookup":
+        # built on the first decode that uses it, never at load, as above
+        return _LayerLookup.build([cs.torus for cs in self.curves])
+
     @classmethod
     def from_dict(cls, d: dict) -> "SchemeCode":
         curves = [CurveSpec.from_dict(item) for item in d["curves"]]
@@ -259,7 +288,10 @@ def encode_batch(scheme: SchemeCode, xs) -> np.ndarray:
         raise ValueError("encoder input must lie in [0, 1)")
     ks, t = scheme._to_curve(xs)
     # curve_point of curve ks at parameter t, gathered
-    return scheme.alpha * _embed(scheme._radii[ks], _TWO_PI * t[..., None] * scheme._u_hats[ks])
+    u = _TWO_PI * t[..., None] * scheme._u_hats.take(ks, axis=0)
+    out = _embed(scheme._radii.take(ks, axis=0), u)
+    out *= scheme.alpha
+    return out
 
 
 def encode(scheme: SchemeCode, x: float) -> np.ndarray:
@@ -274,27 +306,43 @@ def _polar(y):
     odd = y[..., 1::2]
     gamma = np.hypot(even, odd)
     ang = np.arctan2(odd, even)
-    ang[ang < 0.0] += _TWO_PI
+    np.add(ang, _TWO_PI, out=ang, where=ang < 0.0)  # -0.0 stays -0.0
     zero = gamma == 0.0
-    ang[zero] = 0.0
+    np.copyto(ang, 0.0, where=zero)
     return gamma, ang, zero
 
 
-def _nearest_layers(scheme: SchemeCode, gamma: np.ndarray) -> np.ndarray:
+def _nearest_layers(
+    scheme: SchemeCode, gamma: np.ndarray, counter: OpCounter | None = None
+) -> np.ndarray:
     """Layer of each magnitude row (B, N): the c-vector closest to its
     direction.  The layers are unit vectors, so that one maximizes the dot
     product; an all-zero row gets layer 0.  Each row holds the pair
     magnitudes of a row in _received's range, so no square overflows, and a
     square that underflows lies below the largest one's last bit.
 
-    The scan runs in _best_columns' bounded tiles, so its memory does not
-    grow with the layer count M, and an exact tie goes the way BLAS rounds
-    it.
+    The answer is the scan's: the argmax of the unit rows' scores against
+    all M layers, in _best_columns' bounded tiles, an exact tie going the
+    way BLAS rounds it.  The scheme's _LayerLookup proves that answer for
+    most rows in O(N) work each, and only the rows it cannot certify (ties,
+    near-ties and zero rows among them) are scanned.  A batch of fewer than
+    _LOOKUP_SCORES scores is scanned whole, which costs less than the
+    lookup's fixed cost and does not build it.
     """
     # np.linalg.norm's arithmetic, without its per-call dispatch
     norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
     unit = gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
-    return _best_columns(unit, scheme._radii.T)
+    m, n = scheme._radii.shape
+    looked_up = len(unit) * m >= _LOOKUP_SCORES
+    if looked_up:
+        layers, scanned = scheme._layer_lookup.nearest(unit)
+    else:
+        layers, scanned = _best_columns(unit, scheme._radii.T), len(unit)
+    if counter is not None:
+        # a cell index and a squared distance per looked-up row, M scores
+        # per scanned row
+        counter.add(looked_up * len(unit) * 2 * n + scanned * m * n)
+    return layers
 
 
 def _best_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,6 +364,101 @@ def _best_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         tile = slice(min(start, n - 2), start + rows)
         best[tile] = (a[tile] @ b).argmax(axis=1)
     return best
+
+
+@dataclass(frozen=True, eq=False)
+class _LayerLookup:
+    """Certified layer lookup: the scan's layer for most unit rows, without
+    scoring all M layers.
+
+    rho_k is half the distance from layer c_k to its nearest other layer
+    (inf for a scheme of one layer).  A coarse grid over the first N-1
+    coordinates of a unit row u, cells about min rho / 4 wide and at most
+    _LOOKUP_CELLS of them, names a candidate layer per cell: the scan's
+    layer for the cell's centre.  The lookup certifies the candidate k of a
+    row when ||u - c_k||**2 < rho_k**2 - _LOOKUP_MARGIN (bound2[k]), and
+    scans every other row.
+
+    Proof that a certified k is the scan's answer.  TorusSpec holds each
+    ||c_j|| within 1e-12 of 1, so ||c_k||**2 - ||c_j||**2 > -5e-12.  With
+    d = ||u - c_k|| < rho_k, the triangle inequality gives ||u - c_j|| >=
+    2*rho_k - d for every j != k, so
+
+        2*(u.c_k - u.c_j) = ||u - c_j||**2 - d**2 + ||c_k||**2 - ||c_j||**2
+                          >= 4*rho_k*(rho_k - d) - 5e-12
+                          >= 2*(rho_k**2 - d**2) - 5e-12,
+
+    and the certificate makes rho_k**2 - d**2 exceed _LOOKUP_MARGIN = 1e-9
+    but for the rounding of two sums of N squares, ~1e-16*N.  So the score
+    of k beats every other score by more than 9.9e-10, while each float
+    score is within N * 2**-53 of its exact value: for any N below ~4e6 the
+    scan picks k, in any batch and any tile, and a candidate that is not
+    the nearest layer can never pass.  The margin is absolute, not relative
+    to rho_k, because the norm slack it covers is.  A zero row is never
+    certified when M > 1: ||0 - c_k|| ~ 1 while rho_k <= sqrt(2)/2, since
+    the layers lie in the positive orthant.
+
+    The rows left over are scanned together.  A row's scores do not depend
+    on the other rows of its product, but BLAS takes a one-row product
+    through another kernel whose rounding can settle an exact tie the
+    other way (_best_columns), so a single leftover row of a larger batch
+    is scanned twice over, as the scan's own tiles would.
+    The arrays are read-only: run_mse's worker threads share the lookup.
+    """
+
+    radii: np.ndarray  # (M, N): the layers' c-vectors
+    bound2: np.ndarray  # (M,): rho_k**2 - _LOOKUP_MARGIN
+    side: int  # grid cells per coordinate
+    strides: np.ndarray  # (N-1,): cell index strides, as floats
+    cells: np.ndarray  # (side**(N-1),): candidate layer per cell
+
+    @classmethod
+    def build(cls, tori) -> "_LayerLookup":
+        radii = _frozen(np.stack([t.c for t in tori]))
+        m, n = radii.shape
+        # each layer's distance to its nearest other layer, over all pairs
+        near = np.full(m, np.inf)
+        for i, d in separation_rows(tori):
+            near[i] = min(near[i], d.min())
+            np.minimum(near[i + 1 :], d, out=near[i + 1 :])
+        dims = n - 1
+        rho = float(near.min()) / 2.0
+        limit = int(_LOOKUP_CELLS ** (1.0 / dims)) if dims else 1
+        side = limit if rho * limit <= 4.0 else max(1, math.ceil(4.0 / rho))
+        strides = side ** np.arange(dims - 1, -1, -1)
+        cells = np.empty(side**dims, dtype=np.min_scalar_type(m - 1))
+        # cells in chunks of 256, so the build's arrays stay small
+        for start in range(0, cells.size, 256):
+            index = np.arange(start, min(start + 256, cells.size))
+            centres = (index[:, None] // strides % side + 0.5) / side
+            # the unit vector over each centre, or nearest to it outside the sphere
+            last = np.sqrt(np.maximum(1.0 - np.einsum("cn,cn->c", centres, centres), 0.0))
+            points = np.concatenate((centres, last[:, None]), axis=1)
+            points /= np.linalg.norm(points, axis=1)[:, None]
+            cells[index] = _best_columns(points, radii.T)
+        return cls(
+            radii=radii,
+            bound2=_frozen((near / 2.0) ** 2 - _LOOKUP_MARGIN),
+            side=side,
+            strides=_frozen(strides.astype(float)),
+            cells=_frozen(cells),
+        )
+
+    def nearest(self, unit: np.ndarray):
+        """The scan's layer of each unit row (B, N), and the number of rows
+        the scan ran on."""
+        q = unit[:, :-1] * self.side
+        np.minimum(q, self.side - 1, out=q)  # a coordinate of 1.0
+        np.floor(q, out=q)
+        layers = self.cells.take((q @ self.strides).astype(np.intp)).astype(np.intp)
+        d = self.radii.take(layers, axis=0)
+        d -= unit  # c_k - u: the same squares as u - c_k
+        rest = np.flatnonzero(~(np.einsum("bn,bn->b", d, d) < self.bound2.take(layers)))
+        if rest.size == 0:
+            return layers, 0
+        rows = rest.repeat(2) if rest.size == 1 and len(unit) > 1 else rest
+        layers[rest] = _best_columns(unit[rows], self.radii.T)[: rest.size]
+        return layers, rows.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,16 +602,16 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     fallback = zero.any(axis=1) & ~undecodable
     # every row is decoded; an undecodable row has layer 0 and zero angles,
     # the lattice origin, and its result is masked below
-    layers = _nearest_layers(scheme, gamma)
+    layers = _nearest_layers(scheme, gamma, counter)
     lines = scheme._line_lattices
     t, nodes = lines.locate(layers, angles)
     x_hat = scheme._from_curve(layers, t)
     if counter is not None:
         b, n = ys.shape[0], scheme.dim
         rows = b - int(np.count_nonzero(undecodable))
-        # polar data and layer choice per row; the search and the inverse arc
-        # map per decodable row
-        counter.add(b * (4 * n + scheme.n_layers * n + n) + rows * (n + 1))
+        # polar data and unit magnitudes per row (_nearest_layers counts the
+        # layer choice); the search and the inverse arc map per decodable row
+        counter.add(b * (4 * n + n) + rows * (n + 1))
         counter.add(lines.mults(rows, nodes))
     return (
         np.where(undecodable, 0.0, x_hat),

@@ -112,7 +112,7 @@ class CurveSpec:
 
     @cached_property
     def length(self) -> float:
-        return _TWO_PI * float(np.linalg.norm(self.u_hat))
+        return _TWO_PI * math.sqrt(self.u_hat.dot(self.u_hat))
 
     @cached_property
     def _lattice(self) -> tuple:

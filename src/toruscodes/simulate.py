@@ -121,7 +121,7 @@ def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb:
 
     err = x_hat - xs
     true_layers = scheme._layers_of(xs)
-    spacing = scheme._spacings[true_layers]
+    spacing = scheme._spacings.take(true_layers)
     # wrong-fold heuristic: scaled parameter error beyond the noise ball plus
     # half a line spacing means the decoder left the correct fold
     thresh = 3.0 * sigma * math.sqrt(2 * scheme.dim) + spacing * scheme.alpha / 2.0

@@ -64,9 +64,10 @@ class TorusSpec:
             raise ValueError("c must be a 1-d vector")
         for x in self.c:  # dtype=float takes a bool or a numeric string
             _number(x, "each entry of c")
-        if not np.all(c > 0.0):
+        # c.min() is NaN when an entry is, which fails the test too
+        if not c.min() > 0.0:
             raise ValueError("all entries of c must be strictly positive")
-        norm = float(np.linalg.norm(c))
+        norm = math.sqrt(c.dot(c))  # the bits of np.linalg.norm(c)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"c must be a unit vector, got norm {norm!r}")
         c.flags.writeable = False
@@ -101,8 +102,8 @@ def _embed(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """embed with radii c that broadcast against u, e.g. one torus per row."""
     angles = u / c
     out = np.empty(angles.shape[:-1] + (2 * angles.shape[-1],), dtype=float)
-    out[..., 0::2] = c * np.cos(angles)
-    out[..., 1::2] = c * np.sin(angles)
+    np.multiply(c, np.cos(angles), out=out[..., 0::2])
+    np.multiply(c, np.sin(angles), out=out[..., 1::2])
     return out
 
 

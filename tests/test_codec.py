@@ -246,6 +246,125 @@ def test_tiled_layer_scan_keeps_ties_at_full_tiles():
         assert np.array_equal(_nearest_layers(s, gamma), _one_block_scan(s, gamma))
 
 
+def _scan_in_chunks(s, gamma):
+    """_one_block_scan of gamma in blocks of 8192 rows, none of one row."""
+    n = len(gamma)
+    out = np.empty(n, dtype=np.intp)
+    for start in range(0, n, 8192):
+        rows = slice(min(start, n - 2), start + 8192)
+        out[rows] = _one_block_scan(s, gamma[rows])
+    return out
+
+
+def _nearest_neighbours(s):
+    """Each layer's nearest other layer, and half the distance to it."""
+    r = s._radii
+    d2 = np.sum((r[:, None, :] - r[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    j = d2.argmin(axis=1)
+    return j, np.sqrt(d2[np.arange(len(r)), j]) / 2.0
+
+
+@pytest.fixture(scope="module")
+def scheme_4_08():
+    """scheme(4, .08) as toruscodes design writes it (M = 289)."""
+    from toruscodes.simulate import _scheme_codebook
+
+    return design_scheme(_scheme_codebook(4, 0.08), 0.08)
+
+
+@pytest.mark.parametrize("which", [3, 4, "4, .08"])
+def test_layer_lookup_picks_the_scans_layer_on_seeded_rows(designed_schemes, scheme_4_08, which):
+    # 10**6 rows per scheme, 200 000 at each noise level, sigma in units of
+    # alpha*delta; designed_schemes holds the stored schemes' layers
+    s, delta = (scheme_4_08, 0.08) if which == "4, .08" else (designed_schemes[which], 0.12)
+    rng = np.random.default_rng([s.n_layers, 30])
+    for noise in (0.0, 0.25, 0.5, 1.0, 2.0):
+        ys = encode_batch(s, rng.random(200_000))
+        ys += noise * s.alpha * delta * rng.standard_normal(ys.shape)
+        gamma = _polar(ys)[0]
+        assert np.array_equal(_nearest_layers(s, gamma), _scan_in_chunks(s, gamma))
+
+
+@pytest.mark.parametrize("which", [3, 4, "tie"])
+def test_layer_lookup_keeps_the_scan_at_ties_zero_rows_and_single_rows(designed_schemes, which):
+    # the midpoint of each layer and its nearest neighbour is an exact or
+    # near tie, which the lookup leaves to the scan, as it does zero rows;
+    # every batch here goes through the lookup
+    s = _tie_scheme() if which == "tie" else designed_schemes[which]
+    j, _ = _nearest_neighbours(s)
+    mid = (s._radii + s._radii[j]) / 2.0
+    rng = np.random.default_rng(s.n_layers)
+    ys = encode_batch(s, rng.random(300)) + 0.03 * rng.standard_normal((300, 2 * s.dim))
+    gamma = np.concatenate((mid, np.zeros((3, s.dim)), _polar(ys)[0], mid[::-1]))
+    gamma = gamma[rng.permutation(len(gamma))]
+    with mock.patch.object(codec, "_LOOKUP_SCORES", 1):
+        for tile in (1, 7 * s.n_layers, codec._LAYER_TILE):
+            with mock.patch.object(codec, "_LAYER_TILE", tile):
+                for b in (1, 2, 3, 10, len(gamma)):
+                    assert np.array_equal(_nearest_layers(s, gamma[:b]), _one_block_scan(s, gamma[:b]))
+        # a one-row call is a one-row product in both
+        for row in np.concatenate((mid, np.zeros((1, s.dim)))):
+            assert np.array_equal(_nearest_layers(s, row[None]), _one_block_scan(s, row[None]))
+        # a batch whose one uncertified row is a midpoint scans it as a row
+        # of a batch, not as a one-row call
+        for row in mid:
+            gamma = np.concatenate((s._radii, row[None]))
+            assert np.array_equal(_nearest_layers(s, gamma), _one_block_scan(s, gamma))
+
+
+@pytest.mark.parametrize("which", [3, 4, "tie"])
+def test_layer_lookup_certifies_rows_inside_rho_only(designed_schemes, which):
+    # rho_k is half the distance from c_k to its nearest layer c_j; a row
+    # whose squared distance to its candidate k lies 2e-9 inside rho_k**2
+    # is certified, and one 1e-10 inside or at distance rho_k is not
+    s = _tie_scheme() if which == "tie" else designed_schemes[which]
+    lookup = s._layer_lookup
+    j, rho = _nearest_neighbours(s)
+    c = s._radii
+    layers, scanned = lookup.nearest(c.copy())
+    assert scanned == 0 and np.array_equal(layers, np.arange(s.n_layers))
+    toward = (c[j] - c) / (2.0 * rho)[:, None]
+    for k in range(s.n_layers):
+        # candidate k for every cell, so that the certificate alone decides
+        only_k = dataclasses.replace(lookup, cells=np.full_like(lookup.cells, k))
+        for inside, certified in ((2e-9, True), (1e-10, False), (0.0, False)):
+            row = c[k] + math.sqrt(rho[k] ** 2 - inside) * toward[k]
+            layer, scanned = only_k.nearest(row[None])
+            assert scanned == (0 if certified else 1)
+            assert layer[0] == (k if certified else (row[None] @ c.T).argmax(axis=1)[0])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_layer_lookup_scans_few_rows_at_the_benchmark_noise(designed_schemes, n):
+    # at sigma = alpha*delta/4, mc-n4's noise, fewer than 5% of the rows of
+    # 4096-row decodes reach the M-wide scan
+    s = designed_schemes[n]
+    s._layer_lookup  # built first: the build scans its cell centres
+    rng = np.random.default_rng([n, 4])
+    ys = encode_batch(s, rng.random(8 * 4096))
+    ys += s.alpha * 0.12 / 4.0 * rng.standard_normal(ys.shape)
+    with mock.patch.object(codec, "_best_columns", wraps=codec._best_columns) as scan:
+        for block in np.split(ys, 8):
+            decode_batch(s, block)
+    scanned = sum(len(call.args[0]) for call in scan.call_args_list)
+    assert scanned < 0.05 * len(ys)
+
+
+def test_layer_lookup_is_built_on_a_large_first_decode_and_read_only(scheme_multi):
+    # not at load, not for a one-row decode, whose scan costs less; run_mse's
+    # worker threads share it
+    s = SchemeCode.from_dict(scheme_multi.to_dict())
+    assert "_layer_lookup" not in s.__dict__
+    decode(s, encode(s, 0.3))
+    assert "_layer_lookup" not in s.__dict__
+    decode_batch(s, encode_batch(s, np.linspace(0.0, 0.99, 4096)))
+    lookup = s.__dict__["_layer_lookup"]
+    for arr in (lookup.radii, lookup.bound2, lookup.strides, lookup.cells):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_decode_unchanged_by_power_of_two_scaling(designed_schemes, n):
     # the layer choice squares the pair magnitudes; from 2**600 on those
@@ -659,7 +778,8 @@ def _reference_decode_batch(s, ys):
     """The box-point formulation of decode_batch, row by row: the pair
     magnitudes and angles (a zero pair takes angle 0), the normalised argmax over the layers, box point theta/gamma*c, then the
     closest line of the box point, its position along the line and the seam
-    map.  Returns (x_hat, layer, undecodable, phase_fallback, mults)."""
+    map.  Returns (x_hat, layer, undecodable, phase_fallback, mults), mults
+    leaving out the layer choice, whose work depends on the layer lookup."""
     from toruscodes.lattices import (
         LatticeBasis,
         _closest_in_ball,
@@ -677,7 +797,7 @@ def _reference_decode_batch(s, ys):
     norms = np.linalg.norm(gamma, axis=1)
     radii = np.stack([cs.torus.c for cs in s.curves])
     layers = np.argmax((gamma / np.where(norms > 0.0, norms, 1.0)[:, None]) @ radii.T, axis=1)
-    mults = len(ys) * (4 * n + s.n_layers * n + n)
+    mults = len(ys) * (4 * n + n)
     below_one = np.nextafter(1.0, 0.0)
     x_hat = np.zeros(len(ys))
     lattices = {}
@@ -732,12 +852,19 @@ def test_decode_batch_matches_box_point_reference(designed_schemes, n, noise):
     ys[10:20, 2:4] = -0.0  # one zero pair, whose arctan2 is pi, not 0
     ys[20:25] = 0.0  # undecodable
     counter = OpCounter()
-    x_hat, layer, undec, fb = decode_batch(s, ys, counter=counter)
+    s._layer_lookup  # built before the scanned rows are counted
+    with mock.patch.object(codec, "_LOOKUP_SCORES", 1), mock.patch.object(
+        codec, "_best_columns", wraps=codec._best_columns
+    ) as scan:
+        x_hat, layer, undec, fb = decode_batch(s, ys, counter=counter)
+    scanned = sum(len(call.args[0]) for call in scan.call_args_list)
     ref_x, ref_layer, ref_undec, ref_fb, ref_mults = _reference_decode_batch(s, ys)
     assert np.array_equal(layer, ref_layer)
     assert np.array_equal(undec, ref_undec) and undec[20:25].all() and undec.sum() == 5
     assert np.array_equal(fb, ref_fb) and fb[:20].all()
-    assert counter.mults == ref_mults
+    # the layer choice: the lookup's cell index and squared distance per
+    # row, and M scores per row it scanned
+    assert counter.mults == ref_mults + len(ys) * 2 * n + scanned * s.n_layers * n
     assert np.max(np.abs(x_hat - ref_x)) <= 1e-15
 
 

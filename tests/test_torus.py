@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,22 @@ def test_torus_spec_validation():
     assert t.c_min == 0.6
     assert np.allclose(t.box_periods, 2 * math.pi * np.array([0.6, 0.8]))
     assert not t.c.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        ([0.6, 0.8, 0.0], "all entries of c must be strictly positive"),
+        ([-0.6, 0.8], "all entries of c must be strictly positive"),
+        ([0.6, math.nan], "all entries of c must be strictly positive"),
+        ([math.nan, 0.8], "all entries of c must be strictly positive"),
+        ([0.5, 0.5], "c must be a unit vector, got norm 0.7071067811865476"),
+        ([0.6, 0.8 + 1e-11], "c must be a unit vector, got norm 1.000000000008"),
+    ],
+)
+def test_torus_spec_refuses_with_its_messages(c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TorusSpec(np.array(c))
 
 
 def test_embed_zero_angles():
