@@ -46,14 +46,7 @@ import numpy as np
 
 from .curves import CurveSpec, curve_point  # noqa: F401
 from .lattices import _closest_in_ball
-from .torus import (  # noqa: F401
-    _embed,
-    _is_int,
-    _number,
-    inter_torus_distance,
-    min_separation,
-    separation_rows,
-)
+from .torus import _embed, _is_int, _number, inter_torus_distance, separation_rows  # noqa: F401
 
 # curve_point and inter_torus_distance stay importable from here, though
 # nothing here calls them: perfbench/traced.py wraps both by name.
@@ -130,7 +123,10 @@ class SchemeCode:
     codec gathers from, and ball_radius, the protection radius of the whole
     locus: the smallest curve small-ball lower bound, capped at half the
     achieved layer separation (a single curve is only protected as far as
-    the neighboring layers allow).
+    the neighboring layers allow).  That separation is the smallest of the
+    nearest-layer distances (_nearest), whose halves are also the layer
+    lookup's certificates rho_k, so one pass over the layer pairs serves both.
+    The curves must live on tori of one dimension N >= 2.
     """
 
     curves: tuple
@@ -142,6 +138,8 @@ class SchemeCode:
             raise ValueError("need at least one curve")
         if any(cs.torus.dim != self.dim for cs in self.curves):
             raise ValueError("all curves must live on tori of the same dimension")
+        if self.dim < 2:
+            raise ValueError("curves must live on tori of dimension >= 2")
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "guard", _number(self.guard, "guard"))
         if not 0.0 <= self.guard < float(self.lengths.min()):
@@ -164,10 +162,8 @@ class SchemeCode:
 
     @cached_property
     def ball_radius(self) -> float:
-        # lazy: the layer separations cost O(M^2), and encoding and
-        # decoding never need them
-        sep = min_separation([cs.torus for cs in self.curves])
-        return float(min(min(cs.ball_lower for cs in self.curves), sep / 2.0))
+        # the smallest nearest-layer distance is min_separation's float
+        return float(min(min(cs.ball_lower for cs in self.curves), self._nearest.min() / 2.0))
 
     # The per-layer arrays below are cached and read-only: run_mse's worker
     # threads share them.
@@ -190,6 +186,18 @@ class SchemeCode:
     def _radii(self) -> np.ndarray:
         """(M, N) stack of the layers' c-vectors."""
         return _frozen(np.stack([cs.torus.c for cs in self.curves]))
+
+    @cached_property
+    def _nearest(self) -> np.ndarray:
+        """(M,) each layer's distance to its nearest other layer (inf for a
+        scheme of one layer): one O(M^2) pass over all pairs, which
+        ball_radius and the layer lookup share, made on the first call of
+        either, never at load or by encode."""
+        near = np.full(self.n_layers, np.inf)
+        for i, d in separation_rows([cs.torus for cs in self.curves]):
+            near[i] = min(near[i], d.min())
+            np.minimum(near[i + 1 :], d, out=near[i + 1 :])
+        return _frozen(near)
 
     @cached_property
     def _u_hats(self) -> np.ndarray:
@@ -241,7 +249,7 @@ class SchemeCode:
     @cached_property
     def _layer_lookup(self) -> "_LayerLookup":
         # built on the first decode that uses it, never at load, as above
-        return _LayerLookup.build([cs.torus for cs in self.curves])
+        return _LayerLookup.build(self._radii, self._nearest)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemeCode":
@@ -372,12 +380,13 @@ class _LayerLookup:
     scoring all M layers.
 
     rho_k is half the distance from layer c_k to its nearest other layer
-    (inf for a scheme of one layer).  A coarse grid over the first N-1
-    coordinates of a unit row u, cells about min rho / 4 wide and at most
-    _LOOKUP_CELLS of them, names a candidate layer per cell: the scan's
-    layer for the cell's centre.  The lookup certifies the candidate k of a
-    row when ||u - c_k||**2 < rho_k**2 - _LOOKUP_MARGIN (bound2[k]), and
-    scans every other row.
+    (inf for a scheme of one layer), read from the scheme's one pass over
+    the layer pairs (SchemeCode._nearest), which ball_radius reads too.  A
+    coarse grid over the first N-1 coordinates of a unit row u, cells about
+    min rho / 4 wide and at most _LOOKUP_CELLS of them, names a candidate
+    layer per cell: the scan's layer for the cell's centre.  The lookup
+    certifies the candidate k of a row when ||u - c_k||**2 < rho_k**2 -
+    _LOOKUP_MARGIN (bound2[k]), and scans every other row.
 
     Proof that a certified k is the scan's answer.  TorusSpec holds each
     ||c_j|| within 1e-12 of 1, so ||c_k||**2 - ||c_j||**2 > -5e-12.  With
@@ -406,24 +415,20 @@ class _LayerLookup:
     The arrays are read-only: run_mse's worker threads share the lookup.
     """
 
-    radii: np.ndarray  # (M, N): the layers' c-vectors
+    radii: np.ndarray  # (M, N): the layers' c-vectors, the scheme's _radii
     bound2: np.ndarray  # (M,): rho_k**2 - _LOOKUP_MARGIN
     side: int  # grid cells per coordinate
     strides: np.ndarray  # (N-1,): cell index strides, as floats
     cells: np.ndarray  # (side**(N-1),): candidate layer per cell
 
     @classmethod
-    def build(cls, tori) -> "_LayerLookup":
-        radii = _frozen(np.stack([t.c for t in tori]))
+    def build(cls, radii, near) -> "_LayerLookup":
+        """The lookup of the layers radii (M, N), N >= 2, whose distances to
+        their nearest other layers are near (M,); it keeps radii itself."""
         m, n = radii.shape
-        # each layer's distance to its nearest other layer, over all pairs
-        near = np.full(m, np.inf)
-        for i, d in separation_rows(tori):
-            near[i] = min(near[i], d.min())
-            np.minimum(near[i + 1 :], d, out=near[i + 1 :])
         dims = n - 1
         rho = float(near.min()) / 2.0
-        limit = int(_LOOKUP_CELLS ** (1.0 / dims)) if dims else 1
+        limit = int(_LOOKUP_CELLS ** (1.0 / dims))
         side = limit if rho * limit <= 4.0 else max(1, math.ceil(4.0 / rho))
         strides = side ** np.arange(dims - 1, -1, -1)
         cells = np.empty(side**dims, dtype=np.min_scalar_type(m - 1))

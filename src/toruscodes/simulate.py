@@ -120,14 +120,18 @@ def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb:
     x_hat, layers, undec, _ = decode_batch(scheme, ys)
 
     err = x_hat - xs
-    true_layers = scheme._layers_of(xs)
-    spacing = scheme._spacings.take(true_layers)
+    # the decoded layer k is x's own when x lies in k's subinterval
+    # [low_k, breakpoint_k), the one _layers_of finds; an undecodable row's
+    # layer -1 reads the last layer's and is wrong
+    right = (scheme._arcs[:, 0].take(layers) <= xs) & (xs < scheme.breakpoints.take(layers))
+    right &= ~undec
     # wrong-fold heuristic: scaled parameter error beyond the noise ball plus
-    # half a line spacing means the decoder left the correct fold
+    # half a line spacing means the decoder left the correct fold.  It only
+    # decides where the layer is right, so the decoded layer's spacing is
+    # the true layer's there
+    spacing = scheme._spacings.take(layers)
     thresh = 3.0 * sigma * math.sqrt(2 * scheme.dim) + spacing * scheme.alpha / 2.0
-    anomalies = (np.abs(err) * scheme.total_length * scheme.alpha > thresh) | (
-        layers != true_layers
-    )
+    anomalies = (np.abs(err) * scheme.total_length * scheme.alpha > thresh) | ~right
     e2 = err * err
     return (
         float(e2.sum()),

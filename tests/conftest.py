@@ -1,10 +1,14 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toruscodes import TorusSpec
+from toruscodes import SchemeCode, TorusSpec
+
+STORED = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def random_torus(rng, n, floor=0.2):
@@ -36,6 +40,13 @@ def brute_projection_shortest(c, u, box=3):
     norms = np.linalg.norm(proj, axis=1)
     nonzero = norms > 1e-9
     return float(norms[nonzero].min())
+
+
+def stored_scheme(n):
+    """The stored N=n, delta=0.12 scheme, the one toruscodes design writes,
+    loaded afresh: nothing derived from its curves is built yet."""
+    payload = json.loads((STORED / f"scheme_n{n}_d0.12.json").read_text())
+    return SchemeCode.from_dict(payload["scheme"])
 
 
 def _call_counts(run, *functions):

@@ -290,13 +290,24 @@ def _broken_scheme(payload, case):
         curve["u"][0] = 10**30
     elif case == "fractional-u":
         curve["u"][0] += 0.5
+    elif case == "one-dimensional":
+        # encode alone could run on it; decode and ball_radius cannot
+        scheme["curves"] = [{"c": [1.0], "u": [1]}]
     return data
 
 
 @pytest.mark.parametrize("command", ["encode", "decode", "simulate"])
 @pytest.mark.parametrize(
     "case",
-    ["no-curves", "curve-without-u", "curves-not-a-list", "top-level-list", "huge-u", "fractional-u"],
+    [
+        "no-curves",
+        "curve-without-u",
+        "curves-not-a-list",
+        "top-level-list",
+        "huge-u",
+        "fractional-u",
+        "one-dimensional",
+    ],
 )
 def test_malformed_scheme_file_is_an_error(scheme_file, tmp_path, monkeypatch, capsys, case, command):
     path = tmp_path / "broken.json"
@@ -308,6 +319,7 @@ def test_malformed_scheme_file_is_an_error(scheme_file, tmp_path, monkeypatch, c
     code, out, err = run_cli(argv, stdin, monkeypatch, capsys)
     assert code == 1
     assert err.startswith("error: ") and str(path) in err
+    assert "not a valid scheme file" in err
     assert "Traceback" not in err and out == ""
 
 

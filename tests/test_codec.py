@@ -28,15 +28,16 @@ from toruscodes import (
     fcc_target,
     lifting_winding,
     make_curve,
+    min_separation,
     projection_lattice_basis,
     reduce_to_box,
     run_mse,
     search_best_w,
 )
-from toruscodes import codec, curves, lattices
+from toruscodes import codec, curves, lattices, torus
 from toruscodes.codec import _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
-from conftest import _call_counts
+from conftest import _call_counts, stored_scheme
 
 SQ3 = math.sqrt(3.0)
 
@@ -74,6 +75,38 @@ def test_scheme_needs_curves_of_one_dimension(scheme_multi):
     flat = CurveSpec(TorusSpec(np.ones(2) / math.sqrt(2)), [1, 3])
     with pytest.raises(ValueError, match="same dimension"):
         build_scheme([scheme_multi.curves[0], flat])
+
+
+def test_scheme_refuses_curves_on_circles():
+    # N = 1 has no layer lookup grid and no line lattice; the constructor
+    # refuses it, so build_scheme, SchemeCode(...) and from_dict all do
+    circle = CurveSpec(TorusSpec([1.0]), [1])
+    message = "curves must live on tori of dimension >= 2"
+    with pytest.raises(ValueError, match=message):
+        build_scheme([circle])
+    with pytest.raises(ValueError, match=message):
+        SchemeCode((circle,), 1.0)
+    with pytest.raises(ValueError, match=message):
+        SchemeCode.from_dict({"alpha": 1.0, "curves": [{"c": [1.0], "u": [1]}]})
+
+
+@pytest.mark.parametrize("which", [3, 4, "one layer"])
+def test_ball_radius_is_capped_at_half_the_min_separation(designed_schemes, scheme_m1, which):
+    # bit for bit, on a scheme nothing has been derived on yet
+    s = scheme_m1 if which == "one layer" else designed_schemes[which]
+    s = build_scheme(s.curves, alpha=s.alpha, guard=s.guard)
+    sep = min_separation([cs.torus for cs in s.curves])
+    want = float(min(min(cs.ball_lower for cs in s.curves), sep / 2.0))
+    assert s.ball_radius.hex() == want.hex()
+
+
+def test_decode_and_to_dict_share_one_pass_over_the_layer_pairs():
+    # the layer lookup's certificates and ball_radius both read the
+    # scheme's nearest-layer distances: M - 1 rows of pair distances
+    s = stored_scheme(4)
+    ys = encode_batch(s, np.linspace(0.0, 0.99, 4096))
+    count = _call_counts(lambda: (decode_batch(s, ys), s.to_dict()), torus._row_norms)
+    assert s.n_layers == 84 and count == [s.n_layers - 1]
 
 
 def test_partition_bijection(scheme_multi):
@@ -355,11 +388,13 @@ def test_layer_lookup_is_built_on_a_large_first_decode_and_read_only(scheme_mult
     # not at load, not for a one-row decode, whose scan costs less; run_mse's
     # worker threads share it
     s = SchemeCode.from_dict(scheme_multi.to_dict())
-    assert "_layer_lookup" not in s.__dict__
+    assert "_layer_lookup" not in s.__dict__ and "_nearest" not in s.__dict__
+    ys = encode_batch(s, np.linspace(0.0, 0.99, 4096))
     decode(s, encode(s, 0.3))
-    assert "_layer_lookup" not in s.__dict__
-    decode_batch(s, encode_batch(s, np.linspace(0.0, 0.99, 4096)))
+    assert "_layer_lookup" not in s.__dict__ and "_nearest" not in s.__dict__
+    decode_batch(s, ys)
     lookup = s.__dict__["_layer_lookup"]
+    assert lookup.radii is s._radii and "_nearest" in s.__dict__
     for arr in (lookup.radii, lookup.bound2, lookup.strides, lookup.cells):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
@@ -889,7 +924,7 @@ def test_cached_scheme_arrays_are_read_only(scheme_multi):
     assert "_line_lattices" not in s.__dict__
     decode(s, encode(s, 0.3))
     table = s._line_lattices
-    arrays = [s._arcs, s._spacings, s._radii, s._u_hats]
+    arrays = [s._arcs, s._spacings, s._radii, s._u_hats, s._nearest]
     arrays += [table.spacing, table.fold, table.offset, table.gram, table.certified2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -2,6 +2,7 @@ import concurrent.futures  # noqa: F401  (imported before any memory is traced)
 import copy
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from toruscodes import (
     search_best_w,
     tradeoff_table,
 )
-from toruscodes import simulate
+from toruscodes import decode_batch, encode_batch, simulate
+from toruscodes.simulate import BLOCK, _simulate_block
+from conftest import _call_counts, stored_scheme
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -239,6 +242,70 @@ def test_anomaly_threshold_behavior(scheme):
     high = run_mse(scheme, SimConfig(sigma=0.8 * delta, trials=20_000, seed=3))
     assert low.anomaly_rate < 1e-2
     assert high.anomaly_rate > 1e-1
+
+
+def _searched_block(scheme, sigma, seed, block, nb):
+    """The reference for _simulate_block: each x's true layer found by its
+    own search over the breakpoints, and its line spacing the true layer's."""
+    rng = block_rng(seed, block)
+    xs = rng.random(nb)
+    ys = simulate.awgn(encode_batch(scheme, xs), sigma, rng)
+    x_hat, layers, undec, _ = decode_batch(scheme, ys)
+    err = x_hat - xs
+    true_layers = np.searchsorted(scheme.breakpoints, xs, side="right")
+    spacing = scheme._spacings.take(true_layers)
+    thresh = 3.0 * sigma * math.sqrt(2 * scheme.dim) + spacing * scheme.alpha / 2.0
+    wrong = layers != true_layers
+    anomalies = (np.abs(err) * scheme.total_length * scheme.alpha > thresh) | wrong
+    e2 = err * err
+    return float(e2.sum()), float((e2 * e2).sum()), int(anomalies.sum()), int(undec.sum())
+
+
+def _block_scheme(which):
+    """A stored delta=0.12 scheme, or its first curve alone."""
+    return build_scheme(stored_scheme(3).curves[:1]) if which == "one layer" else stored_scheme(which)
+
+
+@pytest.mark.parametrize("which", [3, 4, "one layer"])
+def test_block_finds_wrong_layers_as_a_search_would(which):
+    # sigma in units of alpha*delta
+    s = _block_scheme(which)
+    for noise in (0.0, 0.25, 1.0, 4.0, 8.0):
+        sigma = noise * s.alpha * 0.12
+        for seed in (0, 1):
+            want = _searched_block(s, sigma, seed, 3, BLOCK)
+            assert _simulate_block(s, sigma, seed, 3, BLOCK) == want
+            if noise == 8.0 and which != "one layer":
+                assert want[2] > 0
+
+
+@pytest.mark.parametrize("which", [3, 4, "one layer"])
+def test_block_counts_undecodable_rows_as_wrong_layers(which):
+    # rows 0-4 are zeroed after the noise is drawn, so the stream is the
+    # same; at sigma = 1e4*alpha*delta the fold threshold is wider than the
+    # curves, so the layer alone decides, and a one-layer scheme's layer -1
+    # gathers the only layer's subinterval, which holds every x
+    s = _block_scheme(which)
+    real = simulate.awgn
+
+    def zeroed(point, sigma, rng):
+        ys = real(point, sigma, rng)
+        ys[:5] = 0.0
+        return ys
+
+    with mock.patch.object(simulate, "awgn", zeroed):
+        for noise in (0.0, 0.25, 1.0, 4.0, 8.0, 1e4):
+            sigma = noise * s.alpha * 0.12
+            got = _simulate_block(s, sigma, 2, 0, BLOCK)
+            assert got == _searched_block(s, sigma, 2, 0, BLOCK)
+            assert got[3] == 5
+
+
+def test_block_searches_the_layers_of_x_once():
+    # encode_batch's arc map finds each x's layer; the wrong-layer check
+    # reads the decoded layer's subinterval instead of searching again
+    s = stored_scheme(4)
+    assert _call_counts(lambda: _simulate_block(s, 0.03, 0, 0, BLOCK), SchemeCode._layers_of) == [1]
 
 
 def test_estimate_small_ball_2d_matches_exact():
