@@ -5,25 +5,34 @@ curve length, and each subinterval is mapped affinely onto its curve minus a
 seam arc: local parameter t goes to curve parameter g/2 + (1 - g)*t, where
 g = guard / length.  The curves are closed, so without that arc the two ends
 of a subinterval would meet at one ambient point and a small noise step
-across the closure would cost a whole subinterval.  The decoder first
-extracts per-pair magnitudes and angles from the received vector and picks
-the closest layer from the magnitudes.  The answer is that of a linear scan
-(M*N work per row, in bounded row tiles, so its memory does not grow with
-M), but a per-scheme lookup (_LayerLookup, built on the first large decode)
-proves it for most rows in O(N) work: a row lying well inside half the
-distance from its candidate layer to that layer's nearest neighbour has that
-layer as the scan's unique argmax, and only the other rows are scanned.  It
-then finds the closest line of the chosen curve's box pre-image in the
-wrapped flat metric.  Both stages read only directions and angles, so they
-do not depend on the scale of the received vector: _received, the one entry
-check of both decoders, scales a row whose coordinates would overflow or
-underflow by a power of two, and the decoders take any finite vector.  The
-lines of the box pre-image sit at the points of the curve's rank-(N-1) line
-lattice, so the second stage is a closest-vector search in that lattice:
-Babai rounding, certified when the rounded point lies within half the
-shortest lattice vector, and an exact enumeration for the rows it cannot
-certify.  That shortest vector is the curve's line spacing, so the
-certificate is half the spacing.  Each CurveSpec owns its reduced line
+across the closure would cost a whole subinterval.  The encoder finds each
+x's layer on a grid of 2**12 cells over [0, 1) (SchemeCode._layer_grid,
+built on the first encode), with the answer of a binary search over the
+breakpoints.  The decoder first extracts per-pair angles and magnitudes
+from the received vector and picks the closest layer from the magnitudes.
+The answer is that of a linear scan (M*N work per row, in bounded row
+tiles, so its memory does not grow with M), but a per-scheme lookup
+(_LayerLookup, built on the first large decode) proves it for most rows in
+O(N) work: a row lying well inside half the distance from its candidate
+layer to that layer's nearest neighbour has that layer as the scan's unique
+argmax.  The lookup reads magnitudes built without hypot, good to a few
+ulps, which its margin covers; hypot and the scan run only on the other
+rows.  It then finds the closest line of the chosen curve's box pre-image
+in the wrapped flat metric.  Both stages read only directions and angles,
+so they do not depend on the scale of the received vector: _received, the
+one entry check of both decoders, scales a row whose coordinates would
+overflow or underflow by a power of two, and the decoders take any finite
+vector.  The lines of the box pre-image sit at the points of the curve's
+rank-(N-1) line lattice, so the second stage is a closest-vector search in
+that lattice: Babai rounding, certified when the rounded point lies within
+half the shortest lattice vector, and an exact enumeration for the rows it
+cannot certify.  That shortest vector is the curve's line spacing, so the
+certificate is half the spacing.  A large batch first bounds each row's
+squared distance f G f by ||f||**2 times the top eigenvalue of the curve's
+Gram matrix, which certifies most rows, and computes f G f only on the
+rest.  So each stage runs its exact arithmetic only on the rows a cheap
+certificate leaves, and every output has the bits that the exact
+arithmetic on every row gives.  Each CurveSpec owns its reduced line
 lattice (CurveSpec._lattice: one reduction, one Gram-Schmidt and one
 shortest-vector search, whoever asks first), and the table reads it there,
 so a designed curve is not reduced again and the table's spacings, which
@@ -68,6 +77,9 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float64 below 1
 # scores per tile of the layer scan and the grid oracle's scan, bounding a
 # (rows, M) or (rows, grid) block to 512 KB while M or grid <= _LAYER_TILE / 2
 _LAYER_TILE = 1 << 16
+# cells of the encoder's layer grid over [0, 1), a power of two so that
+# x * _LAYER_CELLS is exact (SchemeCode._layer_grid)
+_LAYER_CELLS = 1 << 12
 # _received passes a received row unscaled when its largest |coordinate| lies
 # in [_MAG_LOW, _MAG_HIGH).  Then each pair magnitude is below 2**500.5, so
 # its square is below 2**1001 and no sum of fewer than 2**23 squares
@@ -84,6 +96,13 @@ _LOOKUP_CELLS = 1 << 16
 # schemes (M = 23 and 84) the lookup's fixed cost per call, ~7-12 us, is
 # above the whole scan's cost up to 10-20 thousand scores
 _LOOKUP_SCORES = 1 << 14
+# the closest-line search of a batch of fewer rows runs f G f on every row,
+# not only on the rows that the bound ||f||**2 * top_k leaves
+# (_LineLattices): below ~230-260 rows the bound's fixed cost per call,
+# ~6-10 us, is above what it saves.  Measured on the stored schemes (M = 23
+# and 84) at sigma = alpha*delta/4; the break-even does not move with M, so
+# the lookup's rows * M rule would take the bound at 15 rows when M = 1126
+_BOUND_ROWS = 1 << 8
 
 
 class OpCounter:
@@ -204,9 +223,35 @@ class SchemeCode:
         """(M, N) stack of the curves' directions u_hat."""
         return _frozen(np.stack([cs.u_hat for cs in self.curves]))
 
+    @cached_property
+    def _layer_grid(self):
+        """The encoder's layer grid: [0, 1) cut into _LAYER_CELLS cells, and
+        per cell the number of breakpoints at or below its low edge (cells,)
+        and the breakpoints strictly inside it, in order, padded with inf
+        (K, cells), K being the most breakpoints inside one cell.  Built on
+        the first encode, never at load."""
+        lows = np.arange(_LAYER_CELLS) / _LAYER_CELLS
+        below = np.searchsorted(self.breakpoints, lows, side="right")
+        scaled = self.breakpoints * _LAYER_CELLS  # exact
+        strict = scaled != np.floor(scaled)  # not on a cell edge, as 1.0 is
+        cells = np.floor(scaled[strict]).astype(np.intp)
+        # each breakpoint's place among those of its cell
+        place = np.arange(cells.size) - np.searchsorted(cells, cells)
+        inside = np.full((place.max(initial=-1) + 1, _LAYER_CELLS), np.inf)
+        inside[place, cells] = self.breakpoints[strict]
+        return _frozen(below), _frozen(inside)
+
     def _layers_of(self, xs: np.ndarray) -> np.ndarray:
-        """Layer whose subinterval of [0, 1) holds each x."""
-        return np.searchsorted(self.breakpoints, xs, side="right")
+        """Layer whose subinterval of [0, 1) holds each x: the number of
+        breakpoints at or below x, np.searchsorted(breakpoints, xs,
+        side="right").  x * _LAYER_CELLS is exact, so x lies in its cell,
+        and the count is the cell's count below plus K compares."""
+        below, inside = self._layer_grid
+        cells = (xs * _LAYER_CELLS).astype(np.intp)
+        layers = below.take(cells)
+        for row in inside:
+            layers += row.take(cells) <= xs
+        return layers
 
     def _to_curve(self, xs: np.ndarray):
         """Forward arc map: the layer of each x in [0, 1), of any shape, and its
@@ -308,48 +353,67 @@ def encode(scheme: SchemeCode, x: float) -> np.ndarray:
 
 
 def _polar(y):
-    """Magnitudes, angles in [0, 2*pi), and the zero-magnitude mask of the
-    float rows y; a zero pair takes angle 0."""
+    """Angles in [0, 2*pi) of the pairs of the float rows y, a zero pair
+    taking angle 0, and the mask of the zero pairs, or None when no pair is
+    zero, so that a batch without one skips the masking."""
     even = y[..., 0::2]
     odd = y[..., 1::2]
-    gamma = np.hypot(even, odd)
     ang = np.arctan2(odd, even)
     np.add(ang, _TWO_PI, out=ang, where=ang < 0.0)  # -0.0 stays -0.0
-    zero = gamma == 0.0
+    zero = (even == 0.0) & (odd == 0.0)  # exactly where hypot(even, odd) == 0
+    if not np.count_nonzero(zero):
+        return ang, None
     np.copyto(ang, 0.0, where=zero)
-    return gamma, ang, zero
+    return ang, zero
+
+
+def _exact_unit(y: np.ndarray) -> np.ndarray:
+    """The unit rows of the pair magnitudes of the received rows y (B, 2N),
+    the magnitudes taken by np.hypot: the rows the layer scan reads.  A row
+    of zero pairs stays zero."""
+    gamma = np.hypot(y[:, 0::2], y[:, 1::2])
+    # np.linalg.norm's arithmetic, without its per-call dispatch
+    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
+    return gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def _nearest_layers(
-    scheme: SchemeCode, gamma: np.ndarray, counter: OpCounter | None = None
+    scheme: SchemeCode, y: np.ndarray, counter: OpCounter | None = None
 ) -> np.ndarray:
-    """Layer of each magnitude row (B, N): the c-vector closest to its
-    direction.  The layers are unit vectors, so that one maximizes the dot
-    product; an all-zero row gets layer 0.  Each row holds the pair
-    magnitudes of a row in _received's range, so no square overflows, and a
-    square that underflows lies below the largest one's last bit.
+    """Layer of each received row (B, 2N): the c-vector closest to the
+    direction of its pair magnitudes.  The layers are unit vectors, so that
+    one maximizes the dot product; a row of zero pairs gets layer 0.  Each
+    row lies in _received's range, so no square overflows, and a square
+    that underflows lies below the largest one's last bit.
 
-    The answer is the scan's: the argmax of the unit rows' scores against
-    all M layers, in _best_columns' bounded tiles, an exact tie going the
-    way BLAS rounds it.  The scheme's _LayerLookup proves that answer for
-    most rows in O(N) work each, and only the rows it cannot certify (ties,
-    near-ties and zero rows among them) are scanned.  A batch of fewer than
-    _LOOKUP_SCORES scores is scanned whole, which costs less than the
+    The answer is the scan's: the argmax of the exact unit rows' scores
+    (_exact_unit) against all M layers, in _best_columns' bounded tiles, an
+    exact tie going the way BLAS rounds it.  The scheme's _LayerLookup
+    proves that answer for most rows in O(N) work each, on unit rows built
+    from the squares e*e + o*o without hypot, which lie within a few ulps
+    of the exact ones; hypot and the scan run only on the rows it cannot
+    certify (ties, near-ties and zero rows among them).  A batch of fewer
+    than _LOOKUP_SCORES scores is scanned whole, which costs less than the
     lookup's fixed cost and does not build it.
     """
-    # np.linalg.norm's arithmetic, without its per-call dispatch
-    norms = np.sqrt(np.add.reduce(gamma * gamma, axis=1))
-    unit = gamma / np.where(norms > 0.0, norms, 1.0)[:, None]
     m, n = scheme._radii.shape
-    looked_up = len(unit) * m >= _LOOKUP_SCORES
+    looked_up = len(y) * m >= _LOOKUP_SCORES
     if looked_up:
-        layers, scanned = scheme._layer_lookup.nearest(unit)
+        # sqrt(squared pair magnitude / squared row norm), without hypot
+        even = y[:, 0::2]
+        odd = y[:, 1::2]
+        unit = even * even
+        unit += odd * odd
+        total = np.add.reduce(unit, axis=1)
+        unit /= np.where(total > 0.0, total, 1.0)[:, None]
+        np.sqrt(unit, out=unit)
+        layers, scanned = scheme._layer_lookup.nearest(unit, lambda rows: _exact_unit(y[rows]))
     else:
-        layers, scanned = _best_columns(unit, scheme._radii.T), len(unit)
+        layers, scanned = _best_columns(_exact_unit(y), scheme._radii.T), len(y)
     if counter is not None:
         # a cell index and a squared distance per looked-up row, M scores
         # per scanned row
-        counter.add(looked_up * len(unit) * 2 * n + scanned * m * n)
+        counter.add(looked_up * len(y) * 2 * n + scanned * m * n)
     return layers
 
 
@@ -407,6 +471,18 @@ class _LayerLookup:
     certified when M > 1: ||0 - c_k|| ~ 1 while rho_k <= sqrt(2)/2, since
     the layers lie in the positive orthant.
 
+    The certificate need not read the unit rows that the scan reads.
+    _nearest_layers certifies on sqrt(g_i**2 / sum g**2), the squares g_i**2
+    summed from the pair's e*e + o*o, and the scan reads hypot(e, o)
+    divided by the float norm (_exact_unit).  Each entry of either lies
+    within (N + 4) * 2**-53 of the exact unit entry, relative, but for
+    squares below 2**-1022 that round as subnormals; _received keeps the
+    largest square of a row at least 2**-900, so those move an entry by
+    less than 2**-87.  The two rows thus lie within ~1e-15 of each other,
+    so d**2 read on one is within ~1e-14 of d**2 read on the other, which
+    is far inside the 9.9e-10 score gap: a row certified on the certificate's
+    rows is the scan's on the scan's rows.  A zero row is zero in both.
+
     The rows left over are scanned together.  A row's scores do not depend
     on the other rows of its product, but BLAS takes a one-row product
     through another kernel whose rounding can settle an exact tie the
@@ -449,9 +525,12 @@ class _LayerLookup:
             cells=_frozen(cells),
         )
 
-    def nearest(self, unit: np.ndarray):
-        """The scan's layer of each unit row (B, N), and the number of rows
-        the scan ran on."""
+    def nearest(self, unit: np.ndarray, exact):
+        """The scan's layer of each row, and the number of rows the scan ran
+        on.  unit holds the rows' unit vectors (B, N), to within a few ulps,
+        which is all the certificate needs (class docstring); exact(rows)
+        gives the unit rows that the scan reads for the row indices rows,
+        and is called only on the rows left uncertified."""
         q = unit[:, :-1] * self.side
         np.minimum(q, self.side - 1, out=q)  # a coordinate of 1.0
         np.floor(q, out=q)
@@ -462,7 +541,7 @@ class _LayerLookup:
         if rest.size == 0:
             return layers, 0
         rows = rest.repeat(2) if rest.size == 1 and len(unit) > 1 else rest
-        layers[rest] = _best_columns(unit[rows], self.radii.T)[: rest.size]
+        layers[rest] = _best_columns(exact(rows), self.radii.T)[: rest.size]
         return layers, rows.size
 
 
@@ -495,6 +574,25 @@ class _LineLattices:
     SchemeCode._spacings reads it here.  The Babai certificate is half of
     it: a rounded point closer than half the shortest lattice vector is the
     unique closest one.
+
+    A batch of _BOUND_ROWS rows or more certifies most rows without f G f,
+    f being the rounding residual t - rint(t): a row whose float ||f||**2
+    times top_k lies below certified2 is certified, and f G f runs on the
+    rest only.  top_k is the largest eigenvalue lambda_k of gram[k], from
+    eigvalsh, times 1 + 1e-9.  Proof that such a row is one the float
+    f G f certifies too.  Exactly, f G f <= lambda_k * ||f||**2.  The float
+    f G f sums (N-1)**2 products of three factors, so it lies within
+    ((N-1)**2 + 2) * 2**-53 * sum |f_i G_ij f_j| of the exact value, and
+    that sum is at most ||f||**2 times the Frobenius norm of gram[k],
+    itself at most sqrt(N-1) * lambda_k.  The float ||f||**2 is within
+    N * 2**-53 of its value, relative, eigvalsh's lambda_k within a small
+    multiple of 2**-53 * lambda_k (a symmetric eigenvalue moves by no more
+    than the backward error), and the product rounds once.  For any N below
+    ~100 these add up to less than 1e-10 relative, below the 1e-9 that
+    top_k adds, so float f G f < float ||f||**2 * top_k < certified2.  The
+    rows f G f runs on decide the certificate and the enumeration bound as
+    they would if every row ran it: their operands are gathered in the C
+    order of the whole batch's, so each row's f G f keeps its bits.
     The arrays are read-only: run_mse's worker threads share the table.
     """
 
@@ -503,6 +601,7 @@ class _LineLattices:
     offset: np.ndarray  # (M, N-1): position shift per lattice coefficient
     gram: np.ndarray  # (M, N-1, N-1): Gram matrix of the unit-scale rows
     certified2: np.ndarray  # (M,): squared half spacing, less a margin
+    top: np.ndarray  # (M,): top eigenvalue of gram, raised by a margin
     gso: tuple  # per curve (mu, norms2) tuples for the enumeration fallback
 
     @classmethod
@@ -521,13 +620,15 @@ class _LineLattices:
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
         fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
         spacing = _frozen(np.array(spacing))
+        gram = np.stack(gram)
         return cls(
             spacing=spacing,
             fold=_frozen(fold),
             offset=_frozen(np.einsum("kmn,kn->km", np.stack(kernel), _TWO_PI * c * along)),
-            gram=_frozen(np.stack(gram)),
-            # the margin absorbs rounding
+            gram=_frozen(gram),
+            # the margins absorb rounding
             certified2=_frozen((spacing / 2.0) ** 2 * (1.0 - 1e-9)),
+            top=_frozen(np.linalg.eigvalsh(gram)[:, -1] * (1.0 + 1e-9)),
             gso=tuple(gso),
         )
 
@@ -538,15 +639,28 @@ class _LineLattices:
 
         Babai rounding of the coefficients: a rounded point closer than half
         the shortest lattice vector is the closest line.  Other rows run an
-        exact enumeration seeded with the rounded point's distance.
+        exact enumeration seeded with the rounded point's distance.  In a
+        batch of _BOUND_ROWS rows or more, that distance f G f is computed
+        only on the rows whose bound ||f||**2 * top_k does not already
+        certify them (class docstring).
         """
         folded = np.einsum("bn,bnm->bm", angles, self.fold.take(layers, axis=0))
         t = folded[:, :-1]
         z = np.rint(t)
         f = t - z
-        babai2 = np.einsum("bn,bnm,bm->b", f, self.gram.take(layers, axis=0), f)
+        certified2 = self.certified2.take(layers)
+        if len(layers) < _BOUND_ROWS:
+            babai2 = np.einsum("bn,bnm,bm->b", f, self.gram.take(layers, axis=0), f)
+        else:
+            # f G f only on the rows that ||f||**2 * top_k does not certify;
+            # the others keep 0, below their certificate
+            norm2 = np.einsum("bm,bm->b", f, f)
+            rows = np.flatnonzero(~(norm2 * self.top.take(layers) < certified2))
+            babai2 = np.zeros(len(layers))
+            gram = self.gram.take(layers[rows], axis=0)
+            babai2[rows] = np.einsum("bn,bnm,bm->b", f[rows], gram, f[rows])
         nodes = 0
-        for i in (babai2 >= self.certified2.take(layers)).nonzero()[0].tolist():
+        for i in (babai2 >= certified2).nonzero()[0].tolist():
             mu, norms2 = self.gso[layers[i]]
             bound2 = babai2[i] * (1.0 + 1e-9)
             found, _, visited = _closest_in_ball(mu, norms2, t[i].tolist(), bound2)
@@ -602,27 +716,29 @@ def decode_batch(scheme: SchemeCode, ys, *, counter: OpCounter | None = None):
     rather than raised, so Monte Carlo runs survive pathological inputs.
     """
     ys = _received(scheme, ys)
-    gamma, angles, zero = _polar(ys)
-    undecodable = zero.all(axis=1)
-    fallback = zero.any(axis=1) & ~undecodable
+    angles, zero = _polar(ys)
     # every row is decoded; an undecodable row has layer 0 and zero angles,
     # the lattice origin, and its result is masked below
-    layers = _nearest_layers(scheme, gamma, counter)
+    layers = _nearest_layers(scheme, ys, counter)
     lines = scheme._line_lattices
     t, nodes = lines.locate(layers, angles)
     x_hat = scheme._from_curve(layers, t)
+    b = len(ys)
+    undecodable = np.zeros(b, dtype=bool) if zero is None else zero.all(axis=1)
     if counter is not None:
-        b, n = ys.shape[0], scheme.dim
+        n = scheme.dim
         rows = b - int(np.count_nonzero(undecodable))
         # polar data and unit magnitudes per row (_nearest_layers counts the
         # layer choice); the search and the inverse arc map per decodable row
         counter.add(b * (4 * n + n) + rows * (n + 1))
         counter.add(lines.mults(rows, nodes))
+    if zero is None:
+        return x_hat, layers, undecodable, np.zeros(b, dtype=bool)
     return (
         np.where(undecodable, 0.0, x_hat),
         np.where(undecodable, -1, layers),
         undecodable,
-        fallback,
+        zero.any(axis=1) & ~undecodable,
     )
 
 

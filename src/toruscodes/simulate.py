@@ -19,6 +19,7 @@ from .codec import (
     SchemeCode,
     _check_alpha,
     _golden_section,
+    _numbers,
     build_scheme,
     decode_batch,
     encode_batch,
@@ -103,13 +104,20 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def awgn(point, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add iid zero-mean Gaussian noise, standard deviation sigma per coordinate."""
+    """Add iid zero-mean Gaussian noise, standard deviation sigma per
+    coordinate.  sigma and the entries of point must be numbers, not
+    booleans or strings."""
+    sigma = _number(sigma, "sigma")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
-    point = np.asarray(point, dtype=float)
+    point = _numbers(point, "point")
     if sigma == 0.0:
         return point + 0.0
-    return point + sigma * rng.standard_normal(point.shape)
+    # point + sigma * noise in the noise's own array: the same two roundings
+    noise = rng.standard_normal(point.shape)
+    noise *= sigma
+    noise += point
+    return noise
 
 
 def _simulate_block(scheme: SchemeCode, sigma: float, seed: int, block: int, nb: int):

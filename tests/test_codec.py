@@ -35,7 +35,7 @@ from toruscodes import (
     search_best_w,
 )
 from toruscodes import codec, curves, lattices, torus
-from toruscodes.codec import _LineLattices, _nearest_layers, _polar
+from toruscodes.codec import _BELOW_ONE, _exact_unit, _LineLattices, _nearest_layers, _polar
 from toruscodes.curves import OutOfRangeError
 from conftest import _call_counts, stored_scheme
 
@@ -185,8 +185,9 @@ def test_extract_polar_roundtrip(scheme_multi, rng):
     s = scheme_multi
     xs = rng.random(200)
     ys = encode_batch(s, xs)
-    gamma, ang, zero = _polar(ys)
-    assert not zero.any()
+    ang, zero = _polar(ys)
+    assert zero is None
+    gamma = _exact_unit(ys)  # the pair magnitudes: alpha is 1
     ks = np.searchsorted(s.breakpoints, xs, side="right")
     for i in range(200):
         cs = s.curves[ks[i]]
@@ -200,35 +201,47 @@ def test_extract_polar_roundtrip(scheme_multi, rng):
 
 
 def test_extract_polar_signs_and_zero():
-    gamma, ang, zero = _polar(np.array([1.0, 0.0, 0.0, 1.0]))
-    assert np.allclose(gamma, [1.0, 1.0]) and not zero.any()
+    ang, zero = _polar(np.array([1.0, 0.0, 0.0, 1.0]))
+    assert np.allclose(_exact_unit(np.array([[1.0, 0.0, 0.0, 1.0]])), [[1.0, 1.0]] / np.sqrt(2.0))
+    assert zero is None
     assert abs(ang[0]) < 1e-15
     assert abs(ang[1] - math.pi / 2.0) < 1e-15
     # lower half-plane recovers an angle in (pi, 2 pi)
-    _, ang2, _ = _polar(np.array([0.5, -0.5, 1.0, 0.0]))
+    ang2, _ = _polar(np.array([0.5, -0.5, 1.0, 0.0]))
     assert math.pi < ang2[0] < 2 * math.pi
     # a zero pair takes angle 0 and is masked, whatever the sign of its zeros
     for y in ([0.0, 0.0, 1.0, 0.0], [-0.0, -0.0, 1.0, 0.0]):
-        gamma3, ang3, zero3 = _polar(np.array(y))
-        assert gamma3[0] == 0.0 and ang3[0] == 0.0
+        ang3, zero3 = _polar(np.array(y))
+        assert _exact_unit(np.array([y]))[0, 0] == 0.0 and ang3[0] == 0.0
         assert zero3.tolist() == [True, False]
 
 
 def test_nearest_layer(scheme_multi, rng):
     s = scheme_multi
     radii = np.stack([cs.torus.c for cs in s.curves])
-    assert np.array_equal(_nearest_layers(s, radii), np.arange(s.n_layers))
-    mid = (s.curves[0].torus.c + s.curves[1].torus.c)[None, :]
+    assert np.array_equal(_nearest_layers(s, _pairs(radii)), np.arange(s.n_layers))
+    mid = _pairs(s.curves[0].torus.c + s.curves[1].torus.c)
     assert _nearest_layers(s, mid)[0] in (0, 1)  # tie resolved deterministically
     assert _nearest_layers(s, mid)[0] == _nearest_layers(s, mid)[0]
     # an all-zero row gets layer 0, which decode_batch masks as undecodable
-    assert _nearest_layers(s, np.zeros((1, 3)))[0] == 0
+    assert _nearest_layers(s, np.zeros((1, 6)))[0] == 0
     _, layer, undec, _ = decode_batch(s, np.zeros((1, 6)))
     assert layer.tolist() == [-1] and undec.tolist() == [True]
     xs = rng.random(300)
-    gamma, _, _ = _polar(encode_batch(s, xs))
     ks = np.searchsorted(s.breakpoints, xs, side="right")
-    assert np.array_equal(_nearest_layers(s, gamma), ks)
+    assert np.array_equal(_nearest_layers(s, encode_batch(s, xs)), ks)
+
+
+def _pairs(gamma):
+    """Received rows (B, 2N) whose pair magnitudes are the rows of gamma
+    (B, N) or the row gamma (N,): each pair (g, 0), whose hypot is g."""
+    gamma = np.atleast_2d(gamma)
+    return np.stack((gamma, np.zeros_like(gamma)), axis=2).reshape(len(gamma), 2 * gamma.shape[1])
+
+
+def _magnitudes(ys):
+    """The pair magnitudes of the received rows ys (B, 2N)."""
+    return np.hypot(ys[:, 0::2], ys[:, 1::2])
 
 
 def _tie_scheme():
@@ -240,7 +253,7 @@ def _tie_scheme():
 def test_nearest_layer_tie_prefers_first():
     s = _tie_scheme()
     mid = (s._radii[0] + s._radii[1]) / 2.0
-    assert _nearest_layers(s, mid[None, :])[0] == 0
+    assert _nearest_layers(s, _pairs(mid))[0] == 0
     y = np.array([[mid[0], 0.0, mid[1], 0.0]])  # pair magnitudes mid
     assert decode_batch(s, y)[1].tolist() == [0]
 
@@ -252,13 +265,13 @@ def test_tiled_layer_scan_matches_one_block_scan(designed_schemes, which):
     # fewest rows a tile takes is 2
     s = _tie_scheme() if which == "tie" else designed_schemes[which]
     rng = np.random.default_rng(s.n_layers)
-    gamma = _polar(encode_batch(s, rng.random(310)) + 0.1 * rng.standard_normal((310, 2 * s.dim)))[0]
+    gamma = _magnitudes(encode_batch(s, rng.random(310)) + 0.1 * rng.standard_normal((310, 2 * s.dim)))
     gamma[:: 1 if which == "tie" else 2] = (s._radii[0] + s._radii[-1]) / 2.0
     gamma[3] = 0.0
     for tile, t in ((1, 2), (7 * s.n_layers, 7), (100 * s.n_layers, 100)):
         for b in (0, 1, t - 1, t, t + 1, 2 * t + 1, 3 * t + 2):
             with mock.patch.object(codec, "_LAYER_TILE", tile):
-                assert np.array_equal(_nearest_layers(s, gamma[:b]), _one_block_scan(s, gamma[:b]))
+                assert np.array_equal(_nearest_layers(s, _pairs(gamma[:b])), _one_block_scan(s, gamma[:b]))
 
 
 def _one_block_scan(s, gamma):
@@ -276,7 +289,7 @@ def test_tiled_layer_scan_keeps_ties_at_full_tiles():
     for b in (t + 1, 2 * t + 1):
         gamma = np.tile(mid, (b, 1))
         gamma[::5] = s._radii[0]
-        assert np.array_equal(_nearest_layers(s, gamma), _one_block_scan(s, gamma))
+        assert np.array_equal(_nearest_layers(s, _pairs(gamma)), _one_block_scan(s, gamma))
 
 
 def _scan_in_chunks(s, gamma):
@@ -315,8 +328,7 @@ def test_layer_lookup_picks_the_scans_layer_on_seeded_rows(designed_schemes, sch
     for noise in (0.0, 0.25, 0.5, 1.0, 2.0):
         ys = encode_batch(s, rng.random(200_000))
         ys += noise * s.alpha * delta * rng.standard_normal(ys.shape)
-        gamma = _polar(ys)[0]
-        assert np.array_equal(_nearest_layers(s, gamma), _scan_in_chunks(s, gamma))
+        assert np.array_equal(_nearest_layers(s, ys), _scan_in_chunks(s, _magnitudes(ys)))
 
 
 @pytest.mark.parametrize("which", [3, 4, "tie"])
@@ -329,21 +341,23 @@ def test_layer_lookup_keeps_the_scan_at_ties_zero_rows_and_single_rows(designed_
     mid = (s._radii + s._radii[j]) / 2.0
     rng = np.random.default_rng(s.n_layers)
     ys = encode_batch(s, rng.random(300)) + 0.03 * rng.standard_normal((300, 2 * s.dim))
-    gamma = np.concatenate((mid, np.zeros((3, s.dim)), _polar(ys)[0], mid[::-1]))
+    gamma = np.concatenate((mid, np.zeros((3, s.dim)), _magnitudes(ys), mid[::-1]))
     gamma = gamma[rng.permutation(len(gamma))]
     with mock.patch.object(codec, "_LOOKUP_SCORES", 1):
         for tile in (1, 7 * s.n_layers, codec._LAYER_TILE):
             with mock.patch.object(codec, "_LAYER_TILE", tile):
                 for b in (1, 2, 3, 10, len(gamma)):
-                    assert np.array_equal(_nearest_layers(s, gamma[:b]), _one_block_scan(s, gamma[:b]))
+                    assert np.array_equal(
+                        _nearest_layers(s, _pairs(gamma[:b])), _one_block_scan(s, gamma[:b])
+                    )
         # a one-row call is a one-row product in both
         for row in np.concatenate((mid, np.zeros((1, s.dim)))):
-            assert np.array_equal(_nearest_layers(s, row[None]), _one_block_scan(s, row[None]))
+            assert np.array_equal(_nearest_layers(s, _pairs(row)), _one_block_scan(s, row[None]))
         # a batch whose one uncertified row is a midpoint scans it as a row
         # of a batch, not as a one-row call
         for row in mid:
             gamma = np.concatenate((s._radii, row[None]))
-            assert np.array_equal(_nearest_layers(s, gamma), _one_block_scan(s, gamma))
+            assert np.array_equal(_nearest_layers(s, _pairs(gamma)), _one_block_scan(s, gamma))
 
 
 @pytest.mark.parametrize("which", [3, 4, "tie"])
@@ -355,7 +369,7 @@ def test_layer_lookup_certifies_rows_inside_rho_only(designed_schemes, which):
     lookup = s._layer_lookup
     j, rho = _nearest_neighbours(s)
     c = s._radii
-    layers, scanned = lookup.nearest(c.copy())
+    layers, scanned = lookup.nearest(c.copy(), lambda rows: c[rows])
     assert scanned == 0 and np.array_equal(layers, np.arange(s.n_layers))
     toward = (c[j] - c) / (2.0 * rho)[:, None]
     for k in range(s.n_layers):
@@ -363,7 +377,7 @@ def test_layer_lookup_certifies_rows_inside_rho_only(designed_schemes, which):
         only_k = dataclasses.replace(lookup, cells=np.full_like(lookup.cells, k))
         for inside, certified in ((2e-9, True), (1e-10, False), (0.0, False)):
             row = c[k] + math.sqrt(rho[k] ** 2 - inside) * toward[k]
-            layer, scanned = only_k.nearest(row[None])
+            layer, scanned = only_k.nearest(row[None], lambda rows: row[None][rows])
             assert scanned == (0 if certified else 1)
             assert layer[0] == (k if certified else (row[None] @ c.T).argmax(axis=1)[0])
 
@@ -1240,3 +1254,154 @@ def test_scheme_rejects_non_finite_or_non_positive_alpha(scheme_multi, alpha):
         SchemeCode.from_dict(d)
     with pytest.raises(ValueError, match="alpha"):
         build_scheme(scheme_multi.curves, alpha=alpha)
+
+
+@st.composite
+def _narrow_layer_scheme(draw):
+    """A scheme on one N=2 torus whose curves are short windings (a, 1) and
+    long ones (a of order 1e6), so that some layers' subintervals are far
+    narrower than a cell of the encoder's layer grid."""
+    torus = TorusSpec(np.array([0.6, 0.8]))
+    windings = draw(
+        st.lists(st.one_of(st.integers(1, 20), st.integers(10**6, 10**7)), min_size=3, max_size=40)
+    )
+    s = build_scheme([CurveSpec(torus, [a, 1]) for a in windings])
+    # some breakpoints moved down onto the low edge of their cell, which no
+    # curve length gives; the grid reads only the breakpoints
+    cells = codec._LAYER_CELLS
+    moved = s.breakpoints.copy()
+    for i in draw(st.sets(st.integers(0, len(moved) - 2), max_size=5)):
+        edge = math.floor(moved[i] * cells) / cells
+        if edge > (moved[i - 1] if i else 0.0):
+            moved[i] = edge
+    moved.flags.writeable = False
+    s.__dict__["breakpoints"] = moved
+    return s
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_narrow_layer_scheme(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+def test_layer_grid_gives_the_searchsorted_layer(s, drawn):
+    # the encoder's layer of x is the number of breakpoints at or below x;
+    # schemes with two or more breakpoints inside one grid cell (K >= 2)
+    _, inside = s._layer_grid
+    assume(len(inside) >= 2)
+    cells = codec._LAYER_CELLS
+    edges = np.arange(cells) / cells
+    marks = np.concatenate((s.breakpoints, edges))
+    xs = np.concatenate(
+        (marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0), drawn, [0.0, -0.0, _BELOW_ONE])
+    )
+    xs = xs[(xs >= 0.0) & (xs < 1.0)]
+    want = np.searchsorted(s.breakpoints, xs, side="right")
+    got = s._layers_of(xs)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # any shape, as _to_curve takes
+    assert np.array_equal(s._layers_of(xs[:30].reshape(5, 6)), want[:30].reshape(5, 6))
+    assert s._layers_of(np.float64(xs[7])) == want[7]
+
+
+def test_layer_grid_is_built_on_the_first_encode_and_read_only():
+    # not at load; run_mse's worker threads share it, as they share the
+    # decoder table, whose bound on f G f is built with it on a first decode
+    s = stored_scheme(4)
+    assert "_layer_grid" not in s.__dict__
+    y = encode(s, 0.3)
+    below, inside = s.__dict__["_layer_grid"]
+    assert below.shape == (codec._LAYER_CELLS,) and inside.shape == (1, codec._LAYER_CELLS)
+    decode(s, y)
+    for arr in (below, inside, s._line_lattices.top):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def _uncertified_decode(s, ys):
+    """decode_batch's four outputs the long way: hypot magnitudes and a scan
+    of all M layers on every row, then f G f on every row of the
+    closest-line search, with decode_batch's table and arithmetic."""
+    ys = codec._received(s, ys)
+    gamma = _magnitudes(ys)
+    layers = _scan_in_chunks(s, gamma)
+    ang = np.arctan2(ys[:, 1::2], ys[:, 0::2])
+    ang = np.where(gamma > 0.0, np.where(ang < 0.0, ang + 2 * math.pi, ang), 0.0)
+    table = s._line_lattices
+    # gathered by take, in C order: einsum sums in the order of the
+    # operands' strides, and fancy indexing keeps fold's layout
+    folded = np.einsum("bn,bnm->bm", ang, table.fold.take(layers, axis=0))
+    t = folded[:, :-1]
+    z = np.rint(t)
+    f = t - z
+    babai2 = np.einsum("bn,bnm,bm->b", f, table.gram.take(layers, axis=0), f)
+    for i in np.flatnonzero(babai2 >= table.certified2[layers]):
+        mu, norms2 = table.gso[layers[i]]
+        found, _, _ = lattices._closest_in_ball(mu, norms2, t[i].tolist(), babai2[i] * (1.0 + 1e-9))
+        if found is not None:
+            z[i] = found
+    t = folded[:, -1] - np.einsum("bm,bm->b", z, table.offset[layers])
+    t -= np.floor(t)
+    x_hat = s._from_curve(layers, np.minimum(t, _BELOW_ONE))
+    undecodable = np.all(gamma == 0.0, axis=1)
+    fallback = np.any(gamma == 0.0, axis=1) & ~undecodable
+    return np.where(undecodable, 0.0, x_hat), np.where(undecodable, -1, layers), undecodable, fallback
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certified_paths_decode_as_the_uncertified_reference(n):
+    # decode_batch certifies layers on unit rows built without hypot and
+    # lines by ||f||**2 * top_k, and runs hypot, the layer scan and f G f
+    # only on the rows those leave: the same bits as the long way, on
+    # batches either side of the lookup's and the bound's size rules, with
+    # a 1e-200 pair beside O(1) pairs, a zero pair, all-zero rows and the
+    # midpoints of each layer and its nearest neighbour among the rows
+    s = stored_scheme(n)
+    lookup_rows = -(-codec._LOOKUP_SCORES // s.n_layers)  # the fewest it takes
+    bound_rows = codec._BOUND_ROWS
+    sizes = (1, 2, bound_rows - 1, bound_rows, lookup_rows - 1, lookup_rows, 4096)
+    j, _ = _nearest_neighbours(s)
+    rng = np.random.default_rng([n, 32])
+    specials = encode_batch(s, rng.random(3)) + 0.01 * rng.standard_normal((3, 2 * n))
+    specials[0, :2] = (1e-200, -1e-200)
+    specials[1, 2:4] = (-0.0, 0.0)
+    specials[2] = 0.0
+    specials = np.concatenate((specials, _pairs((s._radii + s._radii[j]) / 2.0)))
+    for row in specials:
+        for got, want in zip(decode_batch(s, row[None]), _uncertified_decode(s, row[None])):
+            assert np.array_equal(got, want)
+    for noise in (0.0, 0.25, 0.5, 1.0, 2.0):
+        for b in sizes:
+            ys = encode_batch(s, rng.random(b))
+            ys += noise * s.alpha * 0.12 * rng.standard_normal(ys.shape)
+            k = min(b // 2, len(specials))
+            ys[rng.permutation(b)[:k]] = specials[rng.permutation(len(specials))[:k]]
+            for got, want in zip(decode_batch(s, ys), _uncertified_decode(s, ys)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_babai_bound_certifies_only_rows_that_f_g_f_certifies(n):
+    # ||f||**2 * top_k < certified2 implies float f G f < certified2: on
+    # seeded rows at every noise level, and on f along each curve's top
+    # eigenvector, scaled to lie just inside the bound
+    s = stored_scheme(n)
+    table = s._line_lattices
+    rng = np.random.default_rng([n, 33])
+    fs, layers = [], []
+    for noise in (0.0, 0.25, 0.5, 1.0, 2.0):
+        ys = encode_batch(s, rng.random(20_000))
+        ys += noise * s.alpha * 0.12 * rng.standard_normal(ys.shape)
+        ks = _nearest_layers(s, ys)
+        t = np.einsum("bn,bnm->bm", _polar(ys)[0], table.fold.take(ks, axis=0))[:, :-1]
+        fs.append(t - np.rint(t))
+        layers.append(ks)
+    steps = 1.0 - 2.0**-52 * np.arange(1, 65)
+    for k in range(s.n_layers):
+        top = np.linalg.eigh(table.gram[k])[1][:, -1]
+        fs.append(np.outer(np.sqrt(table.certified2[k] / table.top[k]) * steps, top))
+        layers.append(np.full(len(steps), k))
+    f, ks = np.concatenate(fs), np.concatenate(layers)
+    certified2 = table.certified2[ks]
+    by_bound = np.einsum("bm,bm->b", f, f) * table.top[ks] < certified2
+    babai2 = np.einsum("bn,bnm,bm->b", f, table.gram[ks], f)
+    assert by_bound.mean() > 0.5
+    assert np.all(babai2[by_bound] < certified2[by_bound])

@@ -56,6 +56,35 @@ def test_awgn_rejects_non_finite_sigma(sigma):
         awgn(np.zeros(2), sigma, block_rng(5, 0))
 
 
+@pytest.mark.parametrize(
+    "point, sigma, word",
+    [
+        (np.zeros(2), True, "sigma"),
+        (np.zeros(2), "0.5", "sigma"),
+        (np.zeros(2), None, "sigma"),
+        ([True, 0.0], 0.5, "point"),
+        (np.array([True, False]), 0.5, "point"),
+        (["1.0", "2.0"], 0.5, "point"),
+        ([1j, 0.0], 0.5, "point"),
+    ],
+)
+def test_awgn_checks_its_inputs(point, sigma, word):
+    # as SimConfig and the codec do: a boolean sigma is not unit noise, and
+    # a string is refused with a ValueError, not a TypeError
+    with pytest.raises(ValueError, match=f"{word} must be"):
+        awgn(point, sigma, block_rng(5, 0))
+
+
+def test_awgn_adds_sigma_times_the_stream_and_leaves_the_point():
+    p = np.linspace(-1.0, 1.0, 64).reshape(8, 8)
+    kept = p.copy()
+    noisy = awgn(p, 0.37, block_rng(3, 2))
+    assert np.array_equal(noisy, p + 0.37 * block_rng(3, 2).standard_normal((8, 8)))
+    assert np.array_equal(p, kept)
+    want = [1, 2] + 0.5 * block_rng(3, 2).standard_normal(2)
+    assert np.array_equal(awgn([1, 2], np.float64(0.5), block_rng(3, 2)), want)
+
+
 def test_awgn_variance():
     rng = block_rng(99, 0)
     noise = awgn(np.zeros(1_000_000), 0.37, rng)
