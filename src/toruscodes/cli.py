@@ -16,7 +16,6 @@ sets exit 1; an undecodable (all-zero) vector prints NA but does not.
 """
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -62,6 +61,10 @@ def _setup_logging():
 
 
 def _sha256(path):
+    # imported here: hashlib loads OpenSSL, ~3.6 MB that encode and decode
+    # never use
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         h.update(f.read())

@@ -618,7 +618,9 @@ class _LineLattices:
         c = np.stack([cs.torus.c for cs in curves])
         u_hat = np.stack([cs.u_hat for cs in curves])
         along = u_hat / (_TWO_PI * np.einsum("kn,kn->k", u_hat, u_hat))[:, None]
-        fold = np.concatenate((c[:, :, None] * np.stack(coeffs), (c * along)[:, :, None]), axis=2)
+        # np.array copies the transposed coeffs into C order, so fold is C
+        # contiguous and einsum sums fold[layers] as it sums fold.take(layers)
+        fold = np.concatenate((c[:, :, None] * np.array(coeffs), (c * along)[:, :, None]), axis=2)
         spacing = _frozen(np.array(spacing))
         gram = np.stack(gram)
         return cls(

@@ -485,11 +485,12 @@ def test_console_entrypoint_subprocess(scheme_file):
 
 
 def test_cli_import_loads_no_random_or_thread_pool():
-    # encode and decode draw no random number and start no thread, so the
-    # CLI imports numpy.random and concurrent.futures only where it uses them
+    # encode and decode draw no random number, start no thread and hash no
+    # file, so the CLI imports numpy.random, concurrent.futures and hashlib
+    # only where it uses them
     code = (
         "import sys, toruscodes.cli; "
-        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'numpy.random', 'concurrent.futures', 'hashlib'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1405,3 +1405,21 @@ def test_babai_bound_certifies_only_rows_that_f_g_f_certifies(n):
     babai2 = np.einsum("bn,bnm,bm->b", f, table.gram[ks], f)
     assert by_bound.mean() > 0.5
     assert np.all(babai2[by_bound] < certified2[by_bound])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_is_gathered_alike_by_index_and_by_take(n):
+    # the table stores fold in C order, so einsum sums fold[layers] and
+    # fold.take(layers) in the same order: the decoder's bits do not hang
+    # on which gather a caller uses
+    s = stored_scheme(n)
+    table = s._line_lattices
+    assert table.fold.flags.c_contiguous
+    rng = np.random.default_rng([n, 34])
+    ys = encode_batch(s, rng.random(4096))
+    ys += 0.03 * s.alpha * rng.standard_normal(ys.shape)
+    layers = _nearest_layers(s, ys)
+    angles = _polar(ys)[0]
+    by_index = np.einsum("bn,bnm->bm", angles, table.fold[layers])
+    by_take = np.einsum("bn,bnm->bm", angles, table.fold.take(layers, axis=0))
+    assert np.array_equal(by_index, by_take)

@@ -582,6 +582,18 @@ def test_search_memory_does_not_grow_with_w_max():
         assert peak <= 4 * 2**20
 
 
+def test_layer_greedy_memory_does_not_grow_with_the_grid():
+    # the greedy reads its grid one slab of first angles at a time: 160 000
+    # candidates here, 21.8 MB of traced memory when the whole grid was built
+    tracemalloc.start()
+    try:
+        design_layers(5, 0.15, min_coordinate=0.075)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def test_lifting_windings_exact_across_2_53_and_2_62():
     # N=4 windings grow like w^3: for this c, max |u| first reaches 2^53
     # at w = 248779 and 2^62 at w = 1990223

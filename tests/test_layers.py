@@ -200,3 +200,51 @@ def test_block_greedy_matches_one_at_a_time(n, delta, min_coordinate):
         ):
             got = design_layers(n, delta, min_coordinate=min_coordinate)
         assert np.array([t.c for t in got.layers]).tobytes() == want.tobytes()
+
+
+def _whole_grid(n, step, min_coordinate):
+    """The grid as one array: built, normalised, filtered and sorted whole."""
+    k = int(math.floor((math.pi / 2.0 - step / 2.0) / step))
+    angles = step * np.arange(1, k + 1)
+    cands = np.empty((k ** (n - 1), n))
+    grids = np.meshgrid(*([angles] * (n - 1)), indexing="ij")
+    sin_running = np.ones_like(grids[0])
+    for i in range(n - 1):
+        cands[:, i] = (sin_running * np.cos(grids[i])).ravel()
+        sin_running = sin_running * np.sin(grids[i])
+    cands[:, n - 1] = sin_running.ravel()
+    cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+    if min_coordinate > 0.0:
+        cands = cands[cands.min(axis=1) > min_coordinate]
+    return cands[np.lexsort(tuple(cands[:, i] for i in reversed(range(n))))]
+
+
+def _assert_slabs_are_the_whole_grid(n, step, min_coordinate):
+    want = _whole_grid(n, step, min_coordinate)
+    start = slabs = 0
+    for slab in layers._grid_slabs(n, step, min_coordinate):
+        assert slab.tobytes() == want[start : start + slab.shape[0]].tobytes()
+        start += slab.shape[0]
+        slabs += 1
+    assert start == want.shape[0]
+    return want, slabs
+
+
+@pytest.mark.parametrize("steps_below", [0, 1])
+@pytest.mark.parametrize("n, step", [(2, 1e-4), (3, 0.02), (4, 0.06), (5, 0.1), (6, 0.15)])
+def test_grid_slabs_concatenate_to_the_whole_grid(n, step, steps_below):
+    # sorted slab by slab, the grid keeps the bits and the order, stable
+    # ties included, of one sort of the whole grid, with min_coordinate 0
+    # and one step
+    want, slabs = _assert_slabs_are_the_whole_grid(n, step, steps_below * step)
+    assert slabs > 1
+    got = layers._angle_grid_candidates(n, step, steps_below * step)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_slabs_keep_the_order_at_the_grid_cap():
+    # the smallest step under the cap, where first angles one step apart
+    # are closest in the first coordinate: cos(step) - cos(2 step) ~ 1.5e-13
+    step = (math.pi / 2.0) / (layers._MAX_CANDIDATES - 0.25)
+    want, slabs = _assert_slabs_are_the_whole_grid(2, step, 0.0)
+    assert want.shape[0] == layers._MAX_CANDIDATES - 1 and slabs > 600
